@@ -360,7 +360,7 @@ int run_scale_mode(std::size_t total_peers, std::size_t live_core,
   const std::size_t footprint = system.peer_registry().footprint_bytes();
   const double bytes_per_peer =
       static_cast<double>(footprint) /
-      static_cast<double>(std::max<std::size_t>(1, system.peer_ids().size()));
+      static_cast<double>(std::max<std::size_t>(1, system.peer_count()));
 
   // Active phase: waves of edge peers join, work, go idle, demote.
   const std::uint64_t events_before = system.simulator().events_executed();
@@ -397,7 +397,7 @@ int run_scale_mode(std::size_t total_peers, std::size_t live_core,
   const double rss = peak_rss_mib();
 
   util::Table t({"metric", "value"});
-  t.cell("total peers").cell(system.peer_ids().size()).end_row();
+  t.cell("total peers").cell(system.peer_count()).end_row();
   t.cell("registry bytes/peer").cell(bytes_per_peer, 1).end_row();
   t.cell("registration wall (s)").cell(reg_s, 1).end_row();
   t.cell("materialized (waves)").cell(materialized_total).end_row();
@@ -420,7 +420,7 @@ int run_scale_mode(std::size_t total_peers, std::size_t live_core,
         << "  \"schema\": \"p2prm-bench-scale/1\",\n"
         << "  \"bench\": \"e2_scalability\",\n"
         << "  \"seed\": " << seed << ",\n"
-        << "  \"peers_total\": " << system.peer_ids().size() << ",\n"
+        << "  \"peers_total\": " << system.peer_count() << ",\n"
         << "  \"peers_live_core\": " << live_core << ",\n"
         << "  \"waves\": " << waves << ",\n"
         << "  \"wave_peers\": " << wave_peers << ",\n"
@@ -488,11 +488,9 @@ int main(int argc, char** argv) {
     // Every RM with a populated info base, in peer-id order (deterministic
     // shard assignment and counter order).
     std::vector<core::InfoBase*> rms;
-    for (const auto id : system.peer_ids()) {
-      auto* node = system.peer(id);
-      if (node == nullptr || !node->alive()) continue;
-      auto* rm = node->resource_manager();
-      if (rm == nullptr || rm->info().all_objects().empty()) continue;
+    for (const auto id : system.resource_manager_ids()) {
+      auto* rm = system.peer(id)->resource_manager();
+      if (rm->info().all_objects().empty()) continue;
       rms.push_back(&rm->info());
     }
     if (rms.empty()) {
@@ -626,11 +624,8 @@ int main(int argc, char** argv) {
     // Deterministic RM choice: the one seeing the most services (biggest
     // resource graph), ties broken by lowest peer id.
     core::InfoBase* info = nullptr;
-    for (const auto id : system.peer_ids()) {
-      auto* node = system.peer(id);
-      if (node == nullptr || !node->alive()) continue;
-      auto* rm = node->resource_manager();
-      if (rm == nullptr) continue;
+    for (const auto id : system.resource_manager_ids()) {
+      auto* rm = system.peer(id)->resource_manager();
       if (info == nullptr || rm->info().resource_graph().service_count() >
                                  info->resource_graph().service_count()) {
         info = &rm->info();

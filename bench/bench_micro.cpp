@@ -13,6 +13,8 @@
 
 #include "bloom/bloom_filter.hpp"
 #include "core/allocation.hpp"
+#include "core/peer_registry.hpp"
+#include "core/system.hpp"
 #include "fairness/fairness.hpp"
 #include "graph/path_cache.hpp"
 #include "graph/path_search.hpp"
@@ -331,5 +333,36 @@ void BM_TypeKey(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TypeKey);
+
+void BM_RegistryCensus(benchmark::State& state) {
+  // A fixed 512-node working set spread over a growing population of lazy
+  // rows: the census walks node slots, so its cost must not grow with rows.
+  constexpr std::size_t kNodes = 512;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  core::System system{core::SystemConfig{}};
+  core::PeerRegistry reg;
+  reg.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    overlay::PeerSpec spec;
+    spec.id = util::PeerId{i + 1};
+    reg.add_row(spec, {}, core::PeerState::Lazy);
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const auto row = static_cast<std::uint32_t>(i * (rows / kNodes));
+    reg.attach_node(row, std::make_unique<core::PeerNode>(
+                             system, reg.spec(row), core::PeerInventory{}));
+  }
+  for (auto _ : state) {
+    std::size_t dead = 0;
+    reg.for_each_node(
+        [&](std::uint32_t, const core::PeerNode& n) { dead += !n.alive(); });
+    benchmark::DoNotOptimize(dead);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_RegistryCensus)
+    ->RangeMultiplier(8)
+    ->Range(1 << 10, 1 << 19)
+    ->Complexity(benchmark::o1);
 
 }  // namespace

@@ -45,6 +45,7 @@ std::uint32_t PeerRegistry::add_row(const overlay::PeerSpec& spec,
   x_.push_back(at.x);
   y_.push_back(at.y);
   state_.push_back(state);
+  ++state_count_[static_cast<std::size_t>(state)];
   node_slot_.push_back(kNoSlot);
   row_of_.insert_or_assign(spec.id.value(), row);
   return row;
@@ -63,27 +64,25 @@ overlay::PeerSpec PeerRegistry::spec(std::uint32_t row) const {
 PeerNode* PeerRegistry::attach_node(std::uint32_t row,
                                     std::unique_ptr<PeerNode> node) {
   assert(node_slot_[row] == kNoSlot);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    nodes_[slot] = std::move(node);
-  } else {
-    slot = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(std::move(node));
-  }
-  node_slot_[row] = slot;
-  ++materialized_;
-  return nodes_[slot].get();
+  node_slot_[row] = static_cast<std::uint32_t>(nodes_.size());
+  slot_row_.push_back(row);
+  nodes_.push_back(std::move(node));
+  return nodes_.back().get();
 }
 
 std::unique_ptr<PeerNode> PeerRegistry::detach_node(std::uint32_t row) {
   const std::uint32_t slot = node_slot_[row];
   if (slot == kNoSlot) return nullptr;
   node_slot_[row] = kNoSlot;
-  free_slots_.push_back(slot);
-  --materialized_;
-  return std::move(nodes_[slot]);
+  std::unique_ptr<PeerNode> out = std::move(nodes_[slot]);
+  if (slot + 1 != nodes_.size()) {
+    nodes_[slot] = std::move(nodes_.back());
+    slot_row_[slot] = slot_row_.back();
+    node_slot_[slot_row_[slot]] = slot;
+  }
+  nodes_.pop_back();
+  slot_row_.pop_back();
+  return out;
 }
 
 void PeerRegistry::stash_inventory(util::PeerId id, PeerInventory inventory) {
@@ -118,18 +117,15 @@ std::size_t PeerRegistry::footprint_bytes() const {
 }
 
 void PeerRegistry::publish(obs::MetricsRegistry& registry) const {
-  std::size_t lazy = 0, left = 0, crashed = 0;
-  for (const PeerState s : state_) {
-    if (s == PeerState::Lazy) ++lazy;
-    else if (s == PeerState::Left) ++left;
-    else if (s == PeerState::Crashed) ++crashed;
-  }
   registry.gauge("core.peers.total").set(static_cast<double>(id_.size()));
   registry.gauge("core.peers.materialized")
-      .set(static_cast<double>(materialized_));
-  registry.gauge("core.peers.lazy").set(static_cast<double>(lazy));
-  registry.gauge("core.peers.left").set(static_cast<double>(left));
-  registry.gauge("core.peers.crashed").set(static_cast<double>(crashed));
+      .set(static_cast<double>(materialized()));
+  registry.gauge("core.peers.lazy")
+      .set(static_cast<double>(count(PeerState::Lazy)));
+  registry.gauge("core.peers.left")
+      .set(static_cast<double>(count(PeerState::Left)));
+  registry.gauge("core.peers.crashed")
+      .set(static_cast<double>(count(PeerState::Crashed)));
   registry.gauge("core.peers.idle_bytes_per_peer")
       .set(id_.empty() ? 0.0
                        : static_cast<double>(footprint_bytes()) /

@@ -9,16 +9,21 @@
 //   * every peer owns one *row* — parallel flat columns (id, capacity,
 //     link, uptime origin, coordinates, lifecycle state) totalling a few
 //     dozen bytes, accounted exactly by footprint_bytes();
-//   * only *materialized* peers own a PeerNode, stored in a pointer-stable
-//     slot vector the row indexes into.
+//   * only *materialized* peers own a PeerNode, stored in a dense slot
+//     vector the row indexes into (and that indexes back to the row).
 //
 // Lazy peers (state Lazy, no node) are registered but have never touched
 // the network; System::materialize_peer builds their full state on first
 // touch and System::demote_peer returns a quiescent node to a bare row.
 // The `core.peers.*` gauges published from here (notably
 // `core.peers.materialized`) make the split observable.
+//
+// Every census is O(materialized), never O(rows): for_each_node walks the
+// slots, and the per-state row counts are kept up to date by add_row and
+// set_state. Only for_each_row (System::peer_ids) touches the population.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -40,6 +45,7 @@ struct PeerInventory;
 // Crashed keep their node so restart_peer can recover spec + inventory, the
 // same contract the old per-peer map had).
 enum class PeerState : std::uint8_t { Lazy, Live, Left, Crashed };
+inline constexpr std::size_t kPeerStateCount = 4;
 [[nodiscard]] std::string_view peer_state_name(PeerState s);
 
 class PeerRegistry {
@@ -77,7 +83,15 @@ class PeerRegistry {
     return util::PeerId{id_[row]};
   }
   [[nodiscard]] PeerState state(std::uint32_t row) const { return state_[row]; }
-  void set_state(std::uint32_t row, PeerState s) { state_[row] = s; }
+  void set_state(std::uint32_t row, PeerState s) {
+    --state_count_[static_cast<std::size_t>(state_[row])];
+    ++state_count_[static_cast<std::size_t>(s)];
+    state_[row] = s;
+  }
+  // Rows currently in state `s`. O(1).
+  [[nodiscard]] std::size_t count(PeerState s) const {
+    return state_count_[static_cast<std::size_t>(s)];
+  }
   [[nodiscard]] net::Coordinates coordinates(std::uint32_t row) const {
     return net::Coordinates{x_[row], y_[row]};
   }
@@ -90,10 +104,11 @@ class PeerRegistry {
 
   // --- node storage ---------------------------------------------------------
   // Attaches a freshly built node to the row (row must not have one).
-  // Pointer-stable: the node lives in a slot vector, so the returned raw
-  // pointer survives other attach/detach calls.
+  // Pointer-stable: slots hold owning pointers, so the returned raw pointer
+  // survives other attach/detach calls even though slots move.
   PeerNode* attach_node(std::uint32_t row, std::unique_ptr<PeerNode> node);
   // Removes and returns the row's node (caller decides to destroy or park).
+  // The last slot moves into the hole, keeping the slots dense.
   std::unique_ptr<PeerNode> detach_node(std::uint32_t row);
   [[nodiscard]] PeerNode* node(std::uint32_t row) const {
     const std::uint32_t s = node_slot_[row];
@@ -103,16 +118,15 @@ class PeerRegistry {
     const std::uint32_t r = row_of(id);
     return r == kNoSlot ? nullptr : node(r);
   }
-  [[nodiscard]] std::size_t materialized() const { return materialized_; }
+  [[nodiscard]] std::size_t materialized() const { return nodes_.size(); }
 
-  // Calls fn(row, PeerNode&) for every row that has a node, in unspecified
-  // order — callers that expose ordering must sort, exactly as they did
-  // over the old unordered_map.
+  // Calls fn(row, PeerNode&) for every row that has a node, in slot order,
+  // which attach/detach history decides — callers that expose ordering
+  // must sort. O(materialized). fn must not attach or detach nodes.
   template <typename Fn>
   void for_each_node(Fn&& fn) const {
-    for (std::uint32_t row = 0; row < id_.size(); ++row) {
-      const std::uint32_t s = node_slot_[row];
-      if (s != kNoSlot) fn(row, *nodes_[s]);
+    for (std::size_t s = 0; s < nodes_.size(); ++s) {
+      fn(slot_row_[s], *nodes_[s]);
     }
   }
   // Calls fn(row) for every row, materialized or not.
@@ -152,10 +166,12 @@ class PeerRegistry {
 
   util::FlatMap<std::uint64_t, std::uint32_t> row_of_;
 
-  // Materialized nodes; free_slots_ recycles holes left by detach_node.
+  // Materialized nodes, dense; slot_row_[s] is the row owning nodes_[s].
   std::vector<std::unique_ptr<PeerNode>> nodes_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t materialized_ = 0;
+  std::vector<std::uint32_t> slot_row_;
+
+  // Rows per PeerState, indexed by the enum value.
+  std::array<std::size_t, kPeerStateCount> state_count_{};
 
   util::FlatMap<std::uint64_t, std::unique_ptr<PeerInventory>> stashed_;
 };

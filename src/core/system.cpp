@@ -544,8 +544,12 @@ std::optional<util::PeerId> System::random_alive_peer(util::PeerId exclude) {
     }
   });
   if (candidates.empty()) return std::nullopt;
-  std::sort(candidates.begin(), candidates.end());
-  return candidates[placement_rng_.below(candidates.size())];
+  // The k-th smallest id, as if sorted: slot order never leaks into the draw.
+  const auto k = static_cast<std::ptrdiff_t>(
+      placement_rng_.below(candidates.size()));
+  std::nth_element(candidates.begin(), candidates.begin() + k,
+                   candidates.end());
+  return candidates[static_cast<std::size_t>(k)];
 }
 
 std::size_t System::alive_count() const {

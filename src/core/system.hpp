@@ -175,12 +175,19 @@ class System {
   [[nodiscard]] PeerNode* peer(util::PeerId id);
   [[nodiscard]] const PeerNode* peer(util::PeerId id) const;
   // Every registered peer id, lazy rows included, sorted. O(population):
-  // prefer materialized_peer_ids() in per-snapshot paths at scale.
+  // prefer materialized_peer_ids() in per-snapshot paths at scale, and
+  // peer_count() when only the number is needed.
   [[nodiscard]] std::vector<util::PeerId> peer_ids() const;
+  // Registered peers, lazy rows included. O(1).
+  [[nodiscard]] std::size_t peer_count() const { return registry_.size(); }
+  // The censuses below walk materialized peers only, never lazy rows, so
+  // they cost O(materialized) however large the registered population.
   // Ids of peers that currently own a PeerNode, sorted.
   [[nodiscard]] std::vector<util::PeerId> materialized_peer_ids() const;
   [[nodiscard]] std::vector<util::PeerId> alive_peer_ids() const;
   [[nodiscard]] std::vector<util::PeerId> resource_manager_ids() const;
+  // A uniformly drawn alive, joined peer other than `exclude` (one draw
+  // from the placement rng over the candidates in id order).
   [[nodiscard]] std::optional<util::PeerId> random_alive_peer(
       util::PeerId exclude);
   [[nodiscard]] std::size_t alive_count() const;

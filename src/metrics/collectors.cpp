@@ -77,12 +77,8 @@ void LoadProbe::tick() {
 
 RmAggregate aggregate_rm_stats(const core::System& system) {
   RmAggregate agg;
-  for (const auto id : system.peer_ids()) {
-    const auto* node = system.peer(id);
-    if (node == nullptr || !node->alive()) continue;
-    const auto* rm = node->resource_manager();
-    if (rm == nullptr) continue;
-    const auto& s = rm->stats();
+  for (const auto id : system.resource_manager_ids()) {
+    const auto& s = system.peer(id)->resource_manager()->stats();
     agg.queries += s.queries_received;
     agg.admitted += s.tasks_admitted;
     agg.rejected += s.tasks_rejected;
@@ -101,9 +97,8 @@ RmAggregate aggregate_rm_stats(const core::System& system) {
 
 RetryAggregate aggregate_retry_stats(const core::System& system) {
   RetryAggregate agg;
-  for (const auto id : system.peer_ids()) {
+  for (const auto id : system.materialized_peer_ids()) {
     const auto* node = system.peer(id);
-    if (node == nullptr) continue;
     const auto& s = node->stats();
     agg.query_retries += s.query_retry.retries;
     agg.query_acked += s.query_retry.acked;

@@ -51,11 +51,8 @@ util::Table traffic_table(const net::NetworkStats& stats) {
 util::Table domain_table(const core::System& system) {
   util::Table t({"domain", "rm peer", "members", "admitted", "rejected",
                  "redirects out", "recoveries"});
-  for (const auto id : system.peer_ids()) {
-    const auto* node = system.peer(id);
-    if (node == nullptr || !node->alive()) continue;
-    const auto* rm = node->resource_manager();
-    if (rm == nullptr) continue;
+  for (const auto id : system.resource_manager_ids()) {
+    const auto* rm = system.peer(id)->resource_manager();
     const auto& s = rm->stats();
     t.cell(util::to_string(rm->info().domain().id()))
         .cell(util::to_string(id))
