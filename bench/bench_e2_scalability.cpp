@@ -13,30 +13,15 @@
 // the same binary produce byte-identical files; CI's perf-smoke job diffs
 // the output against the committed BENCH_PR2.json baseline (see
 // docs/BENCHMARKS.md).
-//
-// Parallel mode (--threads=N [--parallel-json=FILE]): partitions every RM's
-// allocation-replay workload across the sharded engine's worker threads
-// (ShardConcurrent mode, docs/PARALLELISM.md) and sweeps thread counts
-// 1..N, reporting wall-clock speedup. The summed search counters are pure
-// simulation quantities and must be identical at every thread count — the
-// run aborts if they diverge. --parallel-json writes the sweep (plus
-// hardware_threads, since speedup is bounded by physical cores) to FILE;
-// the committed BENCH_PR5.json was produced this way.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "core/allocation.hpp"
 #include "exp_common.hpp"
-#include "obs/metrics_registry.hpp"
-#include "sim/parallel.hpp"
-#include "util/arena.hpp"
-#include "util/flat_map.hpp"
 
 using namespace p2prm;
 using namespace p2prm::bench;
@@ -126,179 +111,6 @@ void write_counters(std::ostream& out, const char* name,
       << "      \"cache_hit_rate\": " << rate << ",\n"
       << "      \"found\": " << c.found << "\n"
       << "    }";
-}
-
-void accumulate(GateCounters& into, const GateCounters& c) {
-  into.vertices_popped += c.vertices_popped;
-  into.sequences_enqueued += c.sequences_enqueued;
-  into.candidates += c.candidates;
-  into.cache_hits += c.cache_hits;
-  into.cache_misses += c.cache_misses;
-  into.found += c.found;
-}
-
-bool counters_equal(const GateCounters& a, const GateCounters& b) {
-  return a.vertices_popped == b.vertices_popped &&
-         a.sequences_enqueued == b.sequences_enqueued &&
-         a.candidates == b.candidates && a.cache_hits == b.cache_hits &&
-         a.cache_misses == b.cache_misses && a.found == b.found;
-}
-
-// One parallel replay: every RM's query batch runs as a single event on the
-// RM's shard; shards execute concurrently under the engine's worker pool.
-// Each batch touches only its own InfoBase/PathCache and a private Rng, so
-// the work is shard-confined by construction and the summed counters cannot
-// depend on the thread count or the shard placement.
-struct StageNs {
-  std::uint64_t execute_ns = 0;
-  std::uint64_t mailbox_flush_ns = 0;
-  std::uint64_t barrier_wait_ns = 0;
-  std::uint64_t commit_drain_ns = 0;
-  std::uint64_t window_plan_ns = 0;
-};
-
-struct ReplayOutcome {
-  GateCounters counters;
-  double wall_ms = 0.0;
-  std::vector<double> rm_ms;  // per-RM batch cost, feeds LPT placement
-  StageNs stages;
-};
-
-// Longest-processing-time-first shard placement from measured batch costs:
-// heaviest batch goes to the least-loaded shard. Deterministic (ties break
-// on the lower RM index / lower shard id).
-std::vector<sim::ShardId> lpt_placement(const std::vector<double>& costs,
-                                        unsigned threads) {
-  std::vector<std::size_t> order(costs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return costs[a] > costs[b];
-                   });
-  std::vector<double> bin(threads, 0.0);
-  std::vector<sim::ShardId> shard(costs.size(), 0);
-  for (const std::size_t i : order) {
-    sim::ShardId best = 0;
-    for (unsigned s = 1; s < threads; ++s) {
-      if (bin[s] < bin[best]) best = static_cast<sim::ShardId>(s);
-    }
-    shard[i] = best;
-    bin[best] += costs[i];
-  }
-  return shard;
-}
-
-ReplayOutcome run_parallel_replay(core::System& system,
-                                  const std::vector<core::InfoBase*>& rms,
-                                  const media::Catalog& catalog,
-                                  std::size_t queries_per_rm, unsigned threads,
-                                  std::uint64_t seed,
-                                  const std::vector<sim::ShardId>* placement) {
-  sim::ParallelConfig pc;
-  pc.threads = threads;
-  pc.lookahead = util::milliseconds(1);
-  pc.mode = sim::ParallelMode::ShardConcurrent;
-  sim::ParallelEngine eng(pc);
-
-  ReplayOutcome out;
-  out.rm_ms.assign(rms.size(), 0.0);
-  std::vector<GateCounters> per_rm(rms.size());
-  for (std::size_t i = 0; i < rms.size(); ++i) {
-    const auto shard = placement != nullptr
-                           ? (*placement)[i]
-                           : static_cast<sim::ShardId>(i % threads);
-    eng.schedule(shard, util::milliseconds(1) + static_cast<util::SimTime>(i),
-                 [&system, &per_rm, &out, &catalog, rm = rms[i], i,
-                  queries_per_rm, seed] {
-                   const auto t0 = std::chrono::steady_clock::now();
-                   per_rm[i] = run_gate_queries(system, *rm, catalog,
-                                                queries_per_rm, true,
-                                                seed + i);
-                   const auto t1 = std::chrono::steady_clock::now();
-                   out.rm_ms[i] =
-                       std::chrono::duration<double, std::milli>(t1 - t0)
-                           .count();
-                 });
-  }
-  const auto start = std::chrono::steady_clock::now();
-  eng.run_windows_until(util::seconds(1));
-  const auto stop = std::chrono::steady_clock::now();
-
-  for (const auto& c : per_rm) accumulate(out.counters, c);
-  out.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
-
-  // Per-stage wall-clock, read back through the obs registry export (the
-  // same counters docs/OBSERVABILITY.md consumers see).
-  obs::MetricsRegistry reg;
-  eng.publish(reg);
-  for (const auto& s : reg.snapshot()) {
-    if (s.name == "sim.parallel.stage.execute_ns") {
-      out.stages.execute_ns = s.counter_value;
-    } else if (s.name == "sim.parallel.stage.mailbox_flush_ns") {
-      out.stages.mailbox_flush_ns = s.counter_value;
-    } else if (s.name == "sim.parallel.stage.barrier_wait_ns") {
-      out.stages.barrier_wait_ns = s.counter_value;
-    } else if (s.name == "sim.parallel.stage.commit_drain_ns") {
-      out.stages.commit_drain_ns = s.counter_value;
-    } else if (s.name == "sim.parallel.stage.window_plan_ns") {
-      out.stages.window_plan_ns = s.counter_value;
-    }
-  }
-  return out;
-}
-
-// Deterministic data-layout counters (docs/BENCHMARKS.md): structural work
-// quantities of the open-addressing map and the arena pool, independent of
-// wall-clock. Computed before any simulation runs so the thread-local pool
-// cache is in a known (empty) state.
-struct MicroCounters {
-  double flatmap_mean_probe = 0.0;
-  std::uint64_t pool_fresh = 0;
-  std::uint64_t pool_reused = 0;
-  double pool_reuse_rate = 0.0;
-};
-
-MicroCounters run_micro_counters() {
-  MicroCounters mc;
-
-  // FlatMap probe depth after a churny insert/erase sequence.
-  util::FlatMap<util::PeerId, std::uint64_t> map;
-  util::Rng rng(0xC0FFEE);
-  std::vector<util::PeerId> keys;
-  keys.reserve(4096);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    keys.push_back(util::PeerId{rng.next()});
-    map[keys.back()] = i;
-  }
-  for (std::size_t i = 0; i < keys.size(); i += 3) map.erase(keys[i]);
-  std::uint64_t probes = 0;
-  std::uint64_t live = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (i % 3 == 0) continue;
-    probes += map.probe_length(keys[i]);
-    ++live;
-  }
-  mc.flatmap_mean_probe =
-      live > 0 ? static_cast<double>(probes) / static_cast<double>(live) : 0.0;
-
-  // Arena pool reuse over a steady-state alloc/free cycle (one 64-byte
-  // class): first round faults blocks in, the rest recycle the freelist.
-  const auto before = util::Pool::stats();
-  std::vector<void*> blocks;
-  blocks.reserve(256);
-  for (int round = 0; round < 8; ++round) {
-    for (int i = 0; i < 256; ++i) blocks.push_back(util::Pool::allocate(48));
-    for (void* p : blocks) util::Pool::deallocate(p, 48);
-    blocks.clear();
-  }
-  const auto after = util::Pool::stats();
-  mc.pool_fresh = after.fresh - before.fresh;
-  mc.pool_reused = after.reused - before.reused;
-  const double total =
-      static_cast<double>(mc.pool_fresh + mc.pool_reused);
-  mc.pool_reuse_rate =
-      total > 0.0 ? static_cast<double>(mc.pool_reused) / total : 0.0;
-  return mc;
 }
 
 // Peak resident set in MiB (Linux ru_maxrss is KiB).
@@ -458,11 +270,6 @@ int main(int argc, char** argv) {
   const bool gate_only = args.get_bool("gate-only", false);
   const std::size_t gate_queries = args.get_int("gate-queries", 4096);
   const std::size_t gate_peers = args.get_int("gate-peers", 64);
-  const auto par_threads = static_cast<unsigned>(args.get_int("threads", 0));
-  const std::string par_json = args.get("parallel-json", "");
-  const auto repeats =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   args.get_int("repeats", 5)));
   const std::size_t scale_peers = args.get_int("peers", 0);
 
   if (scale_peers > 0) {
@@ -471,145 +278,6 @@ int main(int argc, char** argv) {
         args.get_int("scale-waves", 4), args.get_int("scale-wave-peers", 2000),
         args.get_double("scale-run-s", 5.0), rate_per_peer, seed,
         args.get("scale-json", ""), args);
-  }
-
-  if (par_threads > 0) {
-    // Computed first: the pool counters depend on the thread-local cache
-    // being empty, which only holds before any simulation has run.
-    const MicroCounters micro = run_micro_counters();
-    WorldConfig config;
-    config.peers = gate_peers;
-    config.system.seed = seed;
-    config.system.max_domain_size = 32;
-    World world(config);
-    world.bootstrap();
-    core::System& system = world.system();
-
-    // Every RM with a populated info base, in peer-id order (deterministic
-    // shard assignment and counter order).
-    std::vector<core::InfoBase*> rms;
-    for (const auto id : system.resource_manager_ids()) {
-      auto* rm = system.peer(id)->resource_manager();
-      if (rm->info().all_objects().empty()) continue;
-      rms.push_back(&rm->info());
-    }
-    if (rms.empty()) {
-      std::cerr << "parallel: no RM with objects after bootstrap\n";
-      return 1;
-    }
-
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool oversubscribed = hw > 0 && hw < par_threads;
-    print_header("E2-parallel",
-                 "Allocation-replay throughput on the sharded engine "
-                 "(docs/PARALLELISM.md)");
-    std::cout << "peers=" << gate_peers << " rms=" << rms.size()
-              << " queries/rm=" << gate_queries << " repeats=" << repeats
-              << " hardware_threads=" << hw
-              << (oversubscribed ? " (OVERSUBSCRIBED: threads > cores)" : "")
-              << "\n\n";
-
-    std::vector<unsigned> sweep;
-    for (unsigned t = 1; t < par_threads; t *= 2) sweep.push_back(t);
-    sweep.push_back(par_threads);
-
-    util::Table t({"threads", "wall (ms, median)", "speedup", "queries/s",
-                   "vertices_popped"});
-    // Median-of-repeats outcome per thread count (the median run's stage
-    // timers ride along with its wall time).
-    std::vector<ReplayOutcome> outcomes;
-    for (const unsigned threads : sweep) {
-      // The warm-up pass absorbs first-touch effects and measures per-RM
-      // batch cost; the timed passes place batches by LPT from those costs
-      // (heaviest batch onto the least-loaded shard).
-      const ReplayOutcome warm = run_parallel_replay(
-          system, rms, world.catalog(), gate_queries, threads, seed, nullptr);
-      const auto placement = lpt_placement(warm.rm_ms, threads);
-      std::vector<ReplayOutcome> runs;
-      for (std::size_t r = 0; r < repeats; ++r) {
-        runs.push_back(run_parallel_replay(system, rms, world.catalog(),
-                                           gate_queries, threads, seed,
-                                           &placement));
-        const GateCounters& expect =
-            outcomes.empty() ? runs.front().counters
-                             : outcomes.front().counters;
-        if (!counters_equal(runs.back().counters, expect)) {
-          std::cerr << "parallel: counters diverge at " << threads
-                    << " threads (vertices_popped "
-                    << expect.vertices_popped << " vs "
-                    << runs.back().counters.vertices_popped << ")\n";
-          return 1;
-        }
-      }
-      std::vector<std::size_t> by_wall(runs.size());
-      std::iota(by_wall.begin(), by_wall.end(), std::size_t{0});
-      std::sort(by_wall.begin(), by_wall.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return runs[a].wall_ms < runs[b].wall_ms;
-                });
-      outcomes.push_back(runs[by_wall[runs.size() / 2]]);
-      const auto& o = outcomes.back();
-      const double total_queries =
-          static_cast<double>(rms.size() * gate_queries);
-      t.cell(threads)
-          .cell(o.wall_ms, 1)
-          .cell(outcomes.front().wall_ms / o.wall_ms, 2)
-          .cell(total_queries / (o.wall_ms / 1000.0), 0)
-          .cell(o.counters.vertices_popped)
-          .end_row();
-    }
-    emit(t, args);
-
-    if (!par_json.empty()) {
-      std::ofstream out(par_json);
-      out << "{\n"
-          << "  \"schema\": \"p2prm-bench-parallel/2\",\n"
-          << "  \"bench\": \"e2_scalability\",\n"
-          << "  \"seed\": " << seed << ",\n"
-          << "  \"peers\": " << gate_peers << ",\n"
-          << "  \"rms\": " << rms.size() << ",\n"
-          << "  \"queries_per_rm\": " << gate_queries << ",\n"
-          << "  \"repeats\": " << repeats << ",\n"
-          << "  \"hardware_threads\": " << hw << ",\n"
-          << "  \"oversubscribed\": " << (oversubscribed ? "true" : "false")
-          << ",\n"
-          << "  \"counters_identical_across_threads\": true,\n"
-          << "  \"vertices_popped\": "
-          << outcomes.front().counters.vertices_popped << ",\n"
-          << "  \"found\": " << outcomes.front().counters.found << ",\n";
-      char fmt[64];
-      std::snprintf(fmt, sizeof fmt, "%.4g", micro.flatmap_mean_probe);
-      out << "  \"micro\": {\n"
-          << "    \"flatmap_mean_probe\": " << fmt << ",\n"
-          << "    \"pool_fresh\": " << micro.pool_fresh << ",\n"
-          << "    \"pool_reused\": " << micro.pool_reused << ",\n";
-      std::snprintf(fmt, sizeof fmt, "%.4g", micro.pool_reuse_rate);
-      out << "    \"pool_reuse_rate\": " << fmt << "\n"
-          << "  },\n"
-          << "  \"sweep\": [\n";
-      for (std::size_t i = 0; i < sweep.size(); ++i) {
-        char speedup[64];
-        std::snprintf(speedup, sizeof speedup, "%.4g",
-                      outcomes.front().wall_ms / outcomes[i].wall_ms);
-        char wall[64];
-        std::snprintf(wall, sizeof wall, "%.4g", outcomes[i].wall_ms);
-        const StageNs& st = outcomes[i].stages;
-        out << "    {\"threads\": " << sweep[i] << ", \"wall_ms\": " << wall
-            << ", \"speedup\": " << speedup
-            << ",\n     \"stage\": {\"execute_ns\": " << st.execute_ns
-            << ", \"mailbox_flush_ns\": " << st.mailbox_flush_ns
-            << ", \"barrier_wait_ns\": " << st.barrier_wait_ns
-            << ", \"commit_drain_ns\": " << st.commit_drain_ns
-            << ", \"window_plan_ns\": " << st.window_plan_ns << "}}"
-            << (i + 1 < sweep.size() ? ",\n" : "\n");
-      }
-      out << "  ]\n}\n";
-      std::cout << "\nparallel sweep written to " << par_json << "\n";
-    }
-    std::cout << "\nExpectation: speedup approaches min(threads, "
-                 "hardware_threads, active RMs); counters are identical at "
-                 "every thread count (the determinism contract).\n";
-    return 0;
   }
 
   if (!json_path.empty()) {

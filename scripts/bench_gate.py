@@ -1,34 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate over deterministic work counters and, in
-``--wallclock`` mode, median wall-clock speedups.
+"""Benchmark regression gate over deterministic work counters.
 
-Counter mode (default) compares a freshly generated gate JSON
-(bench_e2_scalability --json=...) against a committed baseline
-(BENCH_PR2.json) and fails when a named counter regresses beyond the
-tolerance. Counters are simulation quantities — vertices popped,
-candidates evaluated, cache hit rate — not wall-clock, so the gate is
-robust on noisy shared CI runners.
-
-Wall-clock mode (--wallclock) compares a parallel sweep JSON
-(bench_e2_scalability --threads=N --repeats=R --parallel-json=...)
-against a committed baseline (BENCH_PR6.json). It is noise-tolerant by
-construction:
-
-  * the bench reports the *median* of --repeats timed passes (the gate
-    refuses runs with fewer than --min-repeats);
-  * speedups are compared with a *relative* tolerance, never absolute
-    wall times (machines differ);
-  * sweep entries whose thread count exceeds the current runner's
-    hardware_threads are skipped, not failed — a 1- or 2-core runner
-    reports SKIP instead of flaking;
-  * deterministic counter leaves in the same file (vertices_popped,
-    micro.*) are still gated the counter way.
-
---min-speedup accepts "T:X,T:X" pairs (e.g. "4:2.0,8:3.0"): an absolute
-speedup floor at thread count T, enforced only when the runner has >= T
-hardware threads. This keeps the floor meaningful even when the
-committed baseline was produced on a small machine (its "oversubscribed"
-flag marks that).
+Compares a freshly generated gate JSON (bench_e2_scalability --json=...)
+against a committed baseline (BENCH_PR2.json) and fails when a named
+counter regresses beyond the tolerance. Counters are simulation
+quantities — vertices popped, candidates evaluated, cache hit rate — not
+wall-clock, so the gate is robust on noisy shared CI runners.
 
 Direction convention (see docs/BENCHMARKS.md):
   * keys ending in ``_rate`` or ``_reduction`` are higher-is-better;
@@ -36,11 +13,8 @@ Direction convention (see docs/BENCHMARKS.md):
 
 Usage:
   scripts/bench_gate.py BASELINE.json CURRENT.json [--tolerance 0.25]
-  scripts/bench_gate.py BENCH_PR6.json sweep.json --wallclock \
-      [--wall-tolerance 0.3] [--min-repeats 5] [--min-speedup 4:2.0,8:3.0]
 
-Exit status: 0 when no counter/speedup regresses past tolerance (or the
-wall-clock section was hardware-skipped), 1 otherwise.
+Exit status: 0 when no counter regresses past tolerance, 1 otherwise.
 """
 
 import argparse
@@ -65,27 +39,13 @@ def higher_is_better(key):
     return leaf.endswith("_rate") or leaf.endswith("_reduction")
 
 
-# Configuration echoes (peers, queries, seed, ...) describe the run, they
-# are not performance counters; comparing them would gate on the harness.
-# Wall-clock leaves (_ns/_ms suffixes, speedup) are machine-dependent and
-# only ever compared by the --wallclock logic, never as counters.
-SKIP_LEAVES = {
-    "peers",
-    "queries",
-    "seed",
-    "rms",
-    "queries_per_rm",
-    "repeats",
-    "hardware_threads",
-    "threads",
-    "speedup",
-}
-SKIP_SUFFIXES = ("_ns", "_ms")
+# Configuration echoes (peers, queries, seed) describe the run, they are
+# not performance counters; comparing them would gate on the harness.
+SKIP_LEAVES = {"peers", "queries", "seed"}
 
 
 def skipped_leaf(key):
-    leaf = key.rsplit(".", 1)[-1]
-    return leaf in SKIP_LEAVES or leaf.endswith(SKIP_SUFFIXES)
+    return key.rsplit(".", 1)[-1] in SKIP_LEAVES
 
 
 def gate_counters(base, cur, tolerance):
@@ -124,77 +84,6 @@ def print_rows(rows):
         print(f"{key:<{width}}  {b:>12g}  {c:>12g}  {delta:>+8.1%}  {status}")
 
 
-def parse_min_speedup(spec):
-    """Parses "4:2.0,8:3.0" into {4: 2.0, 8: 3.0}."""
-    floors = {}
-    if not spec:
-        return floors
-    for part in spec.split(","):
-        threads, floor = part.split(":")
-        floors[int(threads)] = float(floor)
-    return floors
-
-
-def gate_wallclock(base_raw, cur_raw, args):
-    """Returns a list of failure strings (empty = pass/skip)."""
-    failures = []
-
-    repeats = cur_raw.get("repeats", 1)
-    if repeats < args.min_repeats:
-        return [
-            f"current sweep used repeats={repeats}; the wall-clock gate "
-            f"requires the median of >= {args.min_repeats} passes "
-            f"(rerun with --repeats={args.min_repeats})"
-        ]
-
-    cur_sweep = {e["threads"]: e for e in cur_raw.get("sweep", [])}
-    base_sweep = {e["threads"]: e for e in base_raw.get("sweep", [])}
-    hw = cur_raw.get("hardware_threads", 0)
-    base_oversub = base_raw.get("oversubscribed", False)
-    floors = parse_min_speedup(args.min_speedup)
-
-    print(f"\nwall-clock gate: runner hardware_threads={hw}, "
-          f"baseline oversubscribed={base_oversub}, "
-          f"relative tolerance {args.wall_tolerance:.0%}")
-
-    gated = 0
-    for threads in sorted(cur_sweep):
-        entry = cur_sweep[threads]
-        speedup = entry.get("speedup", 0.0)
-        if hw and threads > hw:
-            print(f"  threads={threads}: SKIP (only {hw} hardware threads)")
-            continue
-        requirement = []
-        # Relative check against the baseline's speedup at the same thread
-        # count — unless the baseline itself was produced oversubscribed,
-        # in which case its speedups carry no information.
-        if not base_oversub and threads in base_sweep:
-            need = base_sweep[threads].get("speedup", 0.0) * (
-                1.0 - args.wall_tolerance
-            )
-            requirement.append((f"baseline*(1-tol) = {need:.2f}", need))
-        if threads in floors:
-            requirement.append((f"--min-speedup floor = {floors[threads]:.2f}",
-                                floors[threads]))
-        if not requirement:
-            print(f"  threads={threads}: speedup {speedup:.2f} (ungated)")
-            continue
-        gated += 1
-        need_desc, need = max(requirement, key=lambda r: r[1])
-        status = "ok" if speedup >= need else "FAIL"
-        print(f"  threads={threads}: speedup {speedup:.2f} vs {need_desc} "
-              f"-> {status}")
-        if status == "FAIL":
-            failures.append(
-                f"speedup at {threads} threads: {speedup:.2f} < {need:.2f} "
-                f"({need_desc})"
-            )
-    if gated == 0:
-        print("  SKIP: no sweep entry fits this runner's hardware; "
-              "wall-clock comparison skipped (counters above still gated)")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
@@ -204,30 +93,6 @@ def main():
         type=float,
         default=0.25,
         help="allowed fractional counter regression (default 0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--wallclock",
-        action="store_true",
-        help="also gate median wall-clock speedups (parallel sweep JSONs)",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.30,
-        help="allowed fractional speedup regression vs baseline "
-        "(default 0.30 = 30%%)",
-    )
-    parser.add_argument(
-        "--min-repeats",
-        type=int,
-        default=5,
-        help="reject sweeps produced with fewer timed repeats (default 5)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        default="",
-        help='absolute speedup floors as "T:X,T:X" (e.g. "4:2.0,8:3.0"), '
-        "each enforced only when the runner has >= T hardware threads",
     )
     args = parser.parse_args()
 
@@ -241,16 +106,12 @@ def main():
     )
     print_rows(rows)
 
-    if args.wallclock:
-        failures += gate_wallclock(base_raw, cur_raw, args)
-
     if failures:
         print("\nREGRESSION GATE FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\ngate passed: {len(rows)} counters within {args.tolerance:.0%}"
-          + (" + wall-clock sweep" if args.wallclock else ""))
+    print(f"\ngate passed: {len(rows)} counters within {args.tolerance:.0%}")
     return 0
 
 

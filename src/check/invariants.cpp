@@ -406,74 +406,6 @@ std::optional<std::string> core_cleanliness(System& system, CheckPhase) {
   return std::nullopt;
 }
 
-// --- parallel engine counter conservation ------------------------------------
-
-std::optional<std::string> parallel_counters(System& system, CheckPhase) {
-  const auto* engine = system.simulator().parallel_engine();
-  if (engine == nullptr) return std::nullopt;
-
-  std::uint64_t executed = 0, scheduled = 0, posts_out = 0, posts_in = 0;
-  for (sim::ShardId s = 0; s < engine->shards(); ++s) {
-    const auto& c = engine->shard_counters(s);
-    executed += c.executed;
-    scheduled += c.scheduled;
-    posts_out += c.posts_out;
-    posts_in += c.posts_in;
-  }
-  if (executed != system.simulator().events_executed()) {
-    std::ostringstream msg;
-    msg << "per-shard executed sum " << executed
-        << " != simulator events_executed "
-        << system.simulator().events_executed();
-    return msg.str();
-  }
-  if (scheduled != system.simulator().events_scheduled()) {
-    std::ostringstream msg;
-    msg << "per-shard scheduled sum " << scheduled
-        << " != simulator events_scheduled "
-        << system.simulator().events_scheduled();
-    return msg.str();
-  }
-  const auto& stats = engine->stats();
-  if (posts_out != stats.cross_shard_messages ||
-      posts_in != stats.cross_shard_messages ||
-      stats.merged_messages != stats.cross_shard_messages) {
-    std::ostringstream msg;
-    msg << "cross-shard flow unbalanced: posts_out=" << posts_out
-        << " posts_in=" << posts_in
-        << " merged=" << stats.merged_messages
-        << " global=" << stats.cross_shard_messages;
-    return msg.str();
-  }
-  if (stats.lookahead_violations != 0) {
-    return "lookahead violated " +
-           std::to_string(stats.lookahead_violations) + " times";
-  }
-  // Stronger than the lookahead check: an event merged below its shard's
-  // clock was delivered into the executed past — out-of-order execution
-  // the conservative protocol must make impossible.
-  if (stats.causality_violations != 0) {
-    return std::to_string(stats.causality_violations) +
-           " event(s) delivered into a shard's executed past";
-  }
-  // Mirror bookkeeping vs. physical shard-queue occupancy: live counts must
-  // agree exactly; the mirror's tombstones can only trail the physical ones
-  // (per-shard heads prune lazily, no later than the global order does).
-  if (engine->live() != engine->physical_live()) {
-    std::ostringstream msg;
-    msg << "mirror live " << engine->live() << " != physical live "
-        << engine->physical_live();
-    return msg.str();
-  }
-  if (engine->tombstones() < engine->physical_tombstones()) {
-    std::ostringstream msg;
-    msg << "mirror tombstones " << engine->tombstones()
-        << " < physical tombstones " << engine->physical_tombstones();
-    return msg.str();
-  }
-  return std::nullopt;
-}
-
 // --- membership sanity -----------------------------------------------------------
 
 std::optional<std::string> membership_attached(System& system, CheckPhase) {
@@ -507,7 +439,6 @@ void InvariantChecker::register_defaults(InvariantChecker& checker) {
   checker.add("gossip.summary_superset", true, summary_superset);
   checker.add("core.cleanliness", true, core_cleanliness);
   checker.add("membership.attached", true, membership_attached);
-  checker.add("parallel.counters", false, parallel_counters);
 }
 
 InvariantChecker InvariantChecker::with_defaults() {

@@ -82,7 +82,7 @@ std::uint64_t behavior_digest(core::System& system, const core::Tracer& tracer) 
 
 RunResult run_scenario(const ScenarioSpec& spec, InvariantChecker& checker,
                        util::SimDuration boundary_period,
-                       const InspectFn& inspect, unsigned threads,
+                       const InspectFn& inspect,
                        const ConfigTweakFn& tweak) {
   core::SystemConfig sys;
   sys.seed = spec.seed;
@@ -91,10 +91,6 @@ RunResult run_scenario(const ScenarioSpec& spec, InvariantChecker& checker,
   sys.enable_spans = spec.spans;
   sys.enable_hierarchical_infobase = spec.hierarchical;
   sys.gossip_domain_aggregates = spec.hierarchical;
-  // The streaming engine shares the sequential event loop (its callbacks
-  // mutate engine state directly), so stream scenarios pin the base engine
-  // to one thread; run_spec likewise skips the parallel oracle for them.
-  sys.num_threads = spec.stream ? 1 : threads;
   // Tight enough that every admitted-but-doomed task is failed and its jobs
   // cancelled well inside the drain window.
   sys.task_gc_grace = util::seconds(15);
@@ -313,20 +309,13 @@ RunResult run_scenario(const ScenarioSpec& spec) {
   return run_scenario(spec, checker);
 }
 
-RunResult run_scenario(const ScenarioSpec& spec, unsigned threads) {
-  auto checker = InvariantChecker::with_defaults();
-  return run_scenario(spec, checker, util::seconds(2), {}, threads);
-}
-
 SeedOutcome run_spec(const ScenarioSpec& spec, bool oracles,
-                     unsigned parallel_threads, unsigned base_threads,
                      const ConfigTweakFn& tweak) {
   SeedOutcome outcome;
   outcome.spec = spec;
   {
     auto checker = InvariantChecker::with_defaults();
-    outcome.result =
-        run_scenario(spec, checker, util::seconds(2), {}, base_threads, tweak);
+    outcome.result = run_scenario(spec, checker, util::seconds(2), {}, tweak);
   }
   if (!oracles || !outcome.result.ok()) return outcome;
 
@@ -378,33 +367,11 @@ SeedOutcome run_spec(const ScenarioSpec& spec, bool oracles,
     }
   }
 
-  // Parallel ablation: the sharded engine must reproduce the sequential run
-  // bit-for-bit — same digest, and its per-shard counters must satisfy the
-  // parallel.counters invariant (checked inside the replay).
-  // Stream scenarios are pinned to the sequential engine (the streaming
-  // overlay shares its event loop), so the parallel ablation is vacuous.
-  if (parallel_threads >= 2 && !spec.stream) {
-    const RunResult replay = run_scenario(spec, parallel_threads);
-    if (!replay.ok()) {
-      oracle_violation("oracle.parallel",
-                       "parallel replay produced violations: " +
-                           replay.violations.front().invariant);
-    } else if (replay.digest != outcome.result.digest) {
-      std::ostringstream msg;
-      msg << "sequential digest " << std::hex << outcome.result.digest
-          << " != " << std::dec << parallel_threads << "-thread digest "
-          << std::hex << replay.digest;
-      oracle_violation("oracle.parallel", msg.str());
-    }
-  }
-
   return outcome;
 }
 
-SeedOutcome fuzz_seed(std::uint64_t seed, bool oracles,
-                      unsigned parallel_threads, unsigned base_threads) {
-  return run_spec(ScenarioSpec::generate(seed), oracles, parallel_threads,
-                  base_threads);
+SeedOutcome fuzz_seed(std::uint64_t seed, bool oracles) {
+  return run_spec(ScenarioSpec::generate(seed), oracles);
 }
 
 }  // namespace p2prm::check

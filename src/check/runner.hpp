@@ -54,20 +54,16 @@ struct RunResult {
 // probe end-state beyond what RunResult summarizes.
 using InspectFn = std::function<void(core::System&)>;
 // `tweak`, when set, runs on the assembled SystemConfig before the System is
-// built — tests use it to flip engine knobs (e.g. enable_shard_rebalance)
-// that a ScenarioSpec deliberately does not serialize.
+// built — the fuzzer's --transport=socket uses it to switch the backend,
+// which a ScenarioSpec deliberately does not serialize.
 using ConfigTweakFn = std::function<void(core::SystemConfig&)>;
-// `threads` > 1 runs the scenario on the sharded parallel engine
-// (SystemConfig::num_threads); the digest, trace, and metrics contract says
-// the result is byte-identical to threads = 1.
 RunResult run_scenario(const ScenarioSpec& spec, InvariantChecker& checker,
                        util::SimDuration boundary_period = util::seconds(2),
-                       const InspectFn& inspect = {}, unsigned threads = 1,
+                       const InspectFn& inspect = {},
                        const ConfigTweakFn& tweak = {});
 
 // Convenience: fresh default checker.
 RunResult run_scenario(const ScenarioSpec& spec);
-RunResult run_scenario(const ScenarioSpec& spec, unsigned threads);
 
 // One fuzz iteration: generate the spec for `seed`, run it, and — when the
 // base run is clean and `oracles` is set — replay it under the equivalence
@@ -79,13 +75,7 @@ struct SeedOutcome {
   [[nodiscard]] bool ok() const { return result.ok(); }
 };
 
-// `parallel_threads` >= 2 adds a parallel-engine replay at that thread
-// count to the oracle set ("oracle.parallel"); 0 or 1 skips it.
-// `base_threads` sets the engine of the *base* run itself (CI's
-// parallel-equivalence job runs the same sweep at 1 and 4 and cmp's the
-// reports byte-for-byte).
-SeedOutcome fuzz_seed(std::uint64_t seed, bool oracles = true,
-                      unsigned parallel_threads = 2, unsigned base_threads = 1);
+SeedOutcome fuzz_seed(std::uint64_t seed, bool oracles = true);
 
 // Runs the spec (plus oracles when enabled) and reports the outcome — the
 // shared path behind fuzz_seed and `p2prm_fuzz --repro`. `tweak` applies to
@@ -93,7 +83,6 @@ SeedOutcome fuzz_seed(std::uint64_t seed, bool oracles = true,
 // fuzzer's --transport=socket rides this hook, which is also why socket
 // runs force oracles off: replay digests are timing-dependent there.
 SeedOutcome run_spec(const ScenarioSpec& spec, bool oracles = true,
-                     unsigned parallel_threads = 2, unsigned base_threads = 1,
                      const ConfigTweakFn& tweak = {});
 
 }  // namespace p2prm::check

@@ -106,8 +106,7 @@ struct ScenarioSpec {
   // ({paper-bfs, max-util, det-stream}). The engine couples to the fault
   // plan through a liveness probe and its accounting identity is checked at
   // every event-loop boundary ("stream.accounting"). Stream scenarios are
-  // sim-transport, single-thread only (the engine shares the sequential
-  // event loop), so the parallel oracle is skipped for them.
+  // sim-transport only.
   bool stream = false;
   std::uint32_t stream_channels = 2;
   std::uint32_t stream_viewers = 8;

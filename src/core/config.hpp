@@ -71,10 +71,9 @@ struct SystemConfig {
   double message_drop_probability = 0.0;
 
   // --- transport (docs/TRANSPORT.md) ---------------------------------------
-  // Socket mode runs the identical protocol stack over loopback TCP. It is
-  // incompatible with the parallel engine (num_threads > 1) and with
-  // fault plans (both are properties of the simulated network); System
-  // rejects those combinations at construction / installation time.
+  // Socket mode runs the identical protocol stack over loopback TCP, paced
+  // by the wall clock. Fault plans work in both modes: System arms a
+  // per-frame SocketFaultInjector instead of hooking the simulated Network.
   TransportKind transport = TransportKind::Sim;
   net::SocketConfig socket{};
   // First value minted by every id family (tasks, jobs, services, ...).
@@ -187,26 +186,6 @@ struct SystemConfig {
   util::SimDuration task_gc_grace = util::minutes(1);
   bool redirect_across_domains = true;
   int max_redirects = 3;
-
-  // --- parallel execution (docs/PARALLELISM.md) -------------------------------------
-  // Shard the event loop across this many worker threads, partitioning
-  // peers by domain; lookahead is derived from the topology's latency
-  // floor. 1 (the default) keeps the classic sequential path entirely
-  // untouched. Any N produces byte-identical traces, digests, and metrics
-  // to N=1 (tests/parallel_test.cpp proves it per fuzz seed).
-  unsigned num_threads = 1;
-  // Adaptive shard rebalancing: every `rebalance_interval_windows`
-  // conservative windows the engine hands its per-shard events-per-window
-  // EWMA to the System, which migrates the hottest domains off the hottest
-  // shard (when its EWMA exceeds `rebalance_imbalance` x the mean) and
-  // refreshes the per-(src,dst) lookahead matrix from the new membership's
-  // coordinate bounding boxes. Pure routing: under the ordered-commit
-  // engine the commit order is the global (time, id) order regardless of
-  // which shard queue an event sits in, so this can never change behaviour
-  // (the rebalance differential test in parallel_test.cpp proves it).
-  bool enable_shard_rebalance = true;
-  std::uint64_t rebalance_interval_windows = 64;
-  double rebalance_imbalance = 1.25;
 
   // --- observability ---------------------------------------------------------------
   // Emit HopStarted/HopCompleted trace events so obs::build_task_spans can

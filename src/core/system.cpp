@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/wire_registry.hpp"
@@ -127,34 +126,6 @@ System::System(SystemConfig config)
     peer_ids_gen_ = util::IdGenerator<util::PeerId>(config_.id_base);
     domain_ids_ = util::IdGenerator<util::DomainId>(config_.id_base);
   }
-  if (config_.transport == TransportKind::Socket && config_.num_threads > 1) {
-    // The parallel engine's ordered-commit machinery is a property of the
-    // simulated event loop; real sockets are paced by the wall clock.
-    throw std::invalid_argument(
-        "socket transport requires num_threads == 1");
-  }
-  if (config_.num_threads > 1) {
-    sim::ParallelConfig pc;
-    pc.threads = config_.num_threads;
-    pc.lookahead = topology_.min_latency();
-    pc.mode = sim::ParallelMode::OrderedCommit;
-    if (config_.enable_shard_rebalance) {
-      pc.rebalance_interval_windows = config_.rebalance_interval_windows;
-    }
-    sim_.enable_parallel(pc);
-    // The router mutates the domain_events_ tally (a util::FlatMap, not
-    // thread-safe). That is sound only because System pins OrderedCommit,
-    // where every handler — and therefore every schedule call that
-    // consults the router — runs serially on the coordinator. If System
-    // ever adopts ShardConcurrent, the tally must become per-shard or
-    // atomic before this router can be installed.
-    sim_.set_shard_router(
-        [this](util::PeerId peer) { return route_peer(peer); });
-    if (config_.enable_shard_rebalance) {
-      sim_.parallel_engine()->set_rebalance_hook(
-          [this](const std::vector<double>& ewma) { rebalance_shards(ewma); });
-    }
-  }
   if (config_.transport == TransportKind::Socket) {
     socket_transport_ = std::make_unique<net::SocketTransport>(
         config_.socket, &decode_message);
@@ -178,135 +149,6 @@ void System::run_until(util::SimTime t) {
 
 void System::drain_transport(int wall_ms) {
   if (realtime_ != nullptr) realtime_->drain(wall_ms);
-}
-
-sim::ShardId System::domain_shard(util::DomainId d) const {
-  if (const sim::ShardId* s = shard_overrides_.find(d.value())) return *s;
-  return static_cast<sim::ShardId>(d.value() % config_.num_threads);
-}
-
-sim::ShardId System::shard_of(util::PeerId peer) const {
-  if (config_.num_threads <= 1) return 0;
-  const PeerNode* node = registry_.node_of(peer);
-  if (node == nullptr) return 0;
-  const util::DomainId d = node->domain();
-  if (!d.valid()) return 0;
-  return domain_shard(d);
-}
-
-sim::ShardId System::route_peer(util::PeerId peer) {
-  if (config_.num_threads <= 1) return 0;
-  const PeerNode* node = registry_.node_of(peer);
-  if (node == nullptr) return 0;
-  const util::DomainId d = node->domain();
-  if (!d.valid()) return 0;
-  // Tally traffic per domain so the rebalancer knows what is hot. The
-  // tally influences only routing decisions, never event content, so it is
-  // free to live on the scheduling hot path. Unsynchronized by design:
-  // under OrderedCommit (the only mode System runs) scheduling is
-  // serialized on the coordinator — see the note at the router
-  // installation in the constructor.
-  if (config_.enable_shard_rebalance) domain_events_[d.value()] += 1.0;
-  return domain_shard(d);
-}
-
-void System::rebalance_shards(const std::vector<double>& shard_ewma) {
-  auto* engine = sim_.parallel_engine();
-  if (engine == nullptr || shard_ewma.size() < 2) return;
-  const auto n = static_cast<sim::ShardId>(shard_ewma.size());
-
-  // Hot/cool shard from the engine's executed-per-window EWMA; ties break
-  // toward the lower shard id so the decision is deterministic.
-  sim::ShardId hot = 0, cool = 0;
-  double total = 0.0;
-  for (sim::ShardId s = 0; s < n; ++s) {
-    total += shard_ewma[s];
-    if (shard_ewma[s] > shard_ewma[hot]) hot = s;
-    if (shard_ewma[s] < shard_ewma[cool]) cool = s;
-  }
-  const double mean = total / static_cast<double>(n);
-  if (hot != cool && mean > 0.0 &&
-      shard_ewma[hot] > config_.rebalance_imbalance * mean) {
-    // Migrate the heaviest domain currently homed on the hot shard, by the
-    // decayed per-domain traffic tally (ties toward the lower domain id).
-    // One domain per invocation: small deterministic steps, re-evaluated
-    // next interval with fresh EWMAs.
-    std::uint64_t best_domain = 0;
-    double best_weight = 0.0;
-    bool found = false;
-    domain_events_.for_each([&](const std::uint64_t& d, double& w) {
-      if (domain_shard(util::DomainId{d}) != hot) return;
-      if (!found || w > best_weight || (w == best_weight && d < best_domain)) {
-        found = true;
-        best_domain = d;
-        best_weight = w;
-      }
-    });
-    if (found && best_weight > 0.0) {
-      if (static_cast<sim::ShardId>(best_domain % config_.num_threads) ==
-          cool) {
-        shard_overrides_.erase(best_domain);  // cool is its hash home
-      } else {
-        shard_overrides_.insert_or_assign(best_domain, cool);
-      }
-    }
-  }
-  // Halve the tallies so old traffic fades; drop domains that fell silent
-  // (collect first — the flat map must not be mutated mid-iteration).
-  std::vector<std::uint64_t> faded;
-  domain_events_.for_each([&](const std::uint64_t& d, double& w) {
-    w *= 0.5;
-    if (w < 0.5) faded.push_back(d);
-  });
-  for (const auto d : faded) domain_events_.erase(d);
-  // Membership or routing may have shifted: refresh the per-pair lookahead
-  // matrix from the current shard bounding boxes.
-  engine->set_pair_lookahead(compute_pair_lookahead());
-}
-
-std::vector<util::SimDuration> System::compute_pair_lookahead() const {
-  const auto n = static_cast<std::size_t>(config_.num_threads);
-  struct Box {
-    double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;
-    bool any = false;
-  };
-  std::vector<Box> boxes(n);
-  // Min/max folds are commutative, so the unordered peer iteration cannot
-  // leak ordering into the result.
-  registry_.for_each_node([&](std::uint32_t row, const PeerNode& node) {
-    const util::PeerId id = registry_.id(row);
-    if (!node.alive() || !topology_.contains(id)) return;
-    const util::DomainId d = node.domain();
-    const sim::ShardId s = d.valid() ? domain_shard(d) : 0;
-    const net::Coordinates c = topology_.coordinates(id);
-    Box& b = boxes[s];
-    if (!b.any) {
-      b = Box{c.x, c.y, c.x, c.y, true};
-    } else {
-      b.min_x = std::min(b.min_x, c.x);
-      b.min_y = std::min(b.min_y, c.y);
-      b.max_x = std::max(b.max_x, c.x);
-      b.max_y = std::max(b.max_y, c.y);
-    }
-  });
-  std::vector<util::SimDuration> matrix(n * n, topology_.min_latency());
-  for (std::size_t src = 0; src < n; ++src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (src == dst || !boxes[src].any || !boxes[dst].any) continue;
-      // Box-to-box distance lower-bounds the distance of any member pair,
-      // so the latency floor at that distance lower-bounds any src -> dst
-      // message delay.
-      const double dx = std::max(
-          {0.0, boxes[src].min_x - boxes[dst].max_x,
-           boxes[dst].min_x - boxes[src].max_x});
-      const double dy = std::max(
-          {0.0, boxes[src].min_y - boxes[dst].max_y,
-           boxes[dst].min_y - boxes[src].max_y});
-      matrix[src * n + dst] =
-          topology_.latency_floor(std::sqrt(dx * dx + dy * dy));
-    }
-  }
-  return matrix;
 }
 
 System::~System() = default;

@@ -18,7 +18,6 @@
 #include "net/socket_transport.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
-#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace p2prm::fault {
@@ -253,19 +252,6 @@ class System {
   [[nodiscard]] util::PeerId next_peer_id() { return peer_ids_gen_.next(); }
   [[nodiscard]] util::DomainId next_domain_id() { return domain_ids_.next(); }
 
-  // Domain -> shard mapping for the parallel engine: a peer lives on the
-  // shard of its *current* domain (rebalance override when one exists,
-  // domain id modulo num_threads otherwise), so a domain split or merge
-  // migrates its peers automatically — the router is consulted afresh at
-  // every schedule. Peers with no domain yet (joining, detached) fall back
-  // to shard 0. With the ordered-commit engine the mapping balances work
-  // across shards but can never change behaviour.
-  [[nodiscard]] sim::ShardId shard_of(util::PeerId peer) const;
-  // Domains currently routed away from their hash shard by the rebalancer.
-  [[nodiscard]] std::size_t shard_override_count() const {
-    return shard_overrides_.size();
-  }
-
   // Domain census: (domain id, rm peer, member count) per live RM.
   struct DomainInfo {
     util::DomainId domain;
@@ -279,18 +265,6 @@ class System {
   // endpoint (shared by add_peer, materialize_peer and restart_peer).
   PeerNode* build_node(std::uint32_t row, overlay::PeerSpec spec,
                        PeerInventory inventory);
-  // The engine's shard router: shard_of plus per-domain traffic tallies
-  // (the rebalancer's signal for *what* to migrate).
-  sim::ShardId route_peer(util::PeerId peer);
-  [[nodiscard]] sim::ShardId domain_shard(util::DomainId d) const;
-  // Rebalance hook (engine calls it at a barrier with per-shard
-  // events-per-window EWMAs): migrates the heaviest domain off the hottest
-  // shard when imbalance exceeds config_.rebalance_imbalance, then
-  // refreshes the engine's per-pair lookahead matrix. Never schedules.
-  void rebalance_shards(const std::vector<double>& shard_ewma);
-  // Per-(src,dst) delay lower bounds from per-shard coordinate bounding
-  // boxes (box-to-box distance lower-bounds any member-pair distance).
-  [[nodiscard]] std::vector<util::SimDuration> compute_pair_lookahead() const;
 
   SystemConfig config_;
   sim::Simulator sim_;
@@ -318,12 +292,6 @@ class System {
   Tracer* tracer_ = nullptr;
   util::Rng placement_rng_;
   util::Rng workload_rng_;
-
-  // Rebalancer state, keyed by DomainId::value(). domain_events_ is a
-  // decayed tally of events routed per domain; shard_overrides_ pins a
-  // domain to a shard other than its hash home.
-  util::FlatMap<std::uint64_t, double> domain_events_;
-  util::FlatMap<std::uint64_t, sim::ShardId> shard_overrides_;
 
   util::IdGenerator<util::TaskId> task_ids_;
   util::IdGenerator<util::JobId> job_ids_;

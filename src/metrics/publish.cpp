@@ -31,10 +31,7 @@ void publish_system(const core::System& system,
       .set(util::to_seconds(system.simulator().now()));
 
   system.transport().publish(registry);
-  // Engine-aware: a parallel run emits the byte-identical sim.event_queue.*
-  // values its sequential twin would (sim.parallel.* stays out of the
-  // snapshot for the same reason; publish it explicitly if needed).
-  system.simulator().publish_queue(registry);
+  system.simulator().queue().publish(registry);
   system.peer_registry().publish(registry);
 }
 

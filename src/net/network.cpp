@@ -156,22 +156,16 @@ void Network::schedule_delivery(util::PeerId from, util::PeerId to,
                                 util::SimDuration delay,
                                 const std::shared_ptr<Message>& message) {
   const std::uint64_t epoch = endpoints_.at(to).epoch;
-  // Affinity-routed: under the parallel engine the delivery event lands on
-  // the receiver's shard (the sender-side latency floor is what makes the
-  // cross-shard lookahead conservative).
-  sim_.schedule_after(
-      delay,
-      [this, from, to, epoch, message] {
-        const auto it = endpoints_.find(to);
-        if (it == endpoints_.end() || it->second.epoch != epoch ||
-            !it->second.handler) {
-          ++stats_.messages_undeliverable;
-          return;
-        }
-        ++stats_.messages_delivered;
-        it->second.handler(from, *message);
-      },
-      to);
+  sim_.schedule_after(delay, [this, from, to, epoch, message] {
+    const auto it = endpoints_.find(to);
+    if (it == endpoints_.end() || it->second.epoch != epoch ||
+        !it->second.handler) {
+      ++stats_.messages_undeliverable;
+      return;
+    }
+    ++stats_.messages_delivered;
+    it->second.handler(from, *message);
+  });
 }
 
 void Network::publish(obs::MetricsRegistry& registry,

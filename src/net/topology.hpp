@@ -6,7 +6,6 @@
 // that the paper's geographical domains are built from (§2, §4.1).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -63,31 +62,6 @@ class Topology {
 
   [[nodiscard]] const TopologyConfig& config() const { return config_; }
   [[nodiscard]] std::size_t size() const { return coords_.size(); }
-
-  // Lower bound on any peer-to-peer latency: the per-path base floor,
-  // shrunk by the worst-case downward jitter. The parallel engine uses it
-  // as the conservative lookahead — no cross-shard message can arrive
-  // sooner, so shards may safely advance through windows of this width
-  // (docs/PARALLELISM.md).
-  [[nodiscard]] util::SimDuration min_latency() const {
-    return latency_floor(0.0);
-  }
-
-  // Lower bound on the latency of any peer pair at least `min_distance`
-  // apart: the deterministic linear model evaluated at that distance,
-  // shrunk by the worst-case downward jitter. This is what turns a
-  // shard-to-shard bounding-box distance into a per-pair lookahead: two
-  // shards whose peers are far apart cannot exchange a message faster than
-  // this, so their conservative windows may be that much wider.
-  [[nodiscard]] util::SimDuration latency_floor(double min_distance) const {
-    double worst =
-        config_.base_latency_s + min_distance * config_.latency_per_unit_s;
-    if (config_.jitter_fraction > 0.0) {
-      worst *= 1.0 - std::min(config_.jitter_fraction, 1.0);
-    }
-    const util::SimDuration floor = util::from_seconds(worst);
-    return floor > 0 ? floor : 1;
-  }
 
  private:
   void ensure_clusters(util::Rng& rng);

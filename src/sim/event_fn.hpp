@@ -72,9 +72,8 @@ class EventFn {
   explicit operator bool() const { return vt_ != nullptr; }
 
   // Process-wide count of callables that spilled to the heap (capture too
-  // large or not nothrow-movable). Relaxed atomic: the parallel engine's
-  // shard workers construct events concurrently; benches snapshot it around
-  // a workload.
+  // large or not nothrow-movable). Relaxed atomic, so concurrent
+  // constructions stay safe; benches snapshot it around a workload.
   [[nodiscard]] static std::uint64_t heap_constructions() {
     return heap_constructions_.load(std::memory_order_relaxed);
   }

@@ -13,30 +13,6 @@ EventId EventQueue::push(util::SimTime when, EventFn fn) {
   return id;
 }
 
-void EventQueue::push_with_id(util::SimTime when, EventId id, EventFn fn) {
-  // Keep the "could this id still be pending" guard in cancel() sound.
-  if (id >= next_id_) next_id_ = id + 1;
-  heap_.push_back(Entry{when, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), later);
-  ++live_;
-}
-
-void EventQueue::push_bulk(std::vector<Popped>& batch) {
-  if (batch.empty()) return;
-  // make_heap is O(heap + batch); k sift-ups are O(k log heap). Heapify
-  // when the batch is a meaningful fraction of the heap.
-  const bool heapify = batch.size() >= heap_.size() / 8 + 8;
-  heap_.reserve(heap_.size() + batch.size());
-  for (auto& p : batch) {
-    if (p.id >= next_id_) next_id_ = p.id + 1;
-    heap_.push_back(Entry{p.when, p.id, std::move(p.fn)});
-    if (!heapify) std::push_heap(heap_.begin(), heap_.end(), later);
-  }
-  if (heapify) std::make_heap(heap_.begin(), heap_.end(), later);
-  live_ += batch.size();
-  batch.clear();
-}
-
 bool EventQueue::cancel(EventId id) {
   if (id >= next_id_) return false;
   // Only mark if it could still be pending; popped events are gone from the
@@ -46,19 +22,12 @@ bool EventQueue::cancel(EventId id) {
     // cancel ids they know are pending (timer handles), so decrement here.
     if (live_ == 0) return false;
     --live_;
-    if (auto_compact_ && tombstones() > live_ &&
-        tombstones() >= kCompactMinTombstones) {
+    if (tombstones() > live_ && tombstones() >= kCompactMinTombstones) {
       compact();
     }
     return true;
   }
   return false;
-}
-
-std::size_t EventQueue::force_compact() {
-  const std::size_t before = stats_.tombstones_compacted;
-  compact();
-  return static_cast<std::size_t>(stats_.tombstones_compacted - before);
 }
 
 void EventQueue::compact() {
@@ -87,12 +56,6 @@ void EventQueue::drop_cancelled_head() {
 util::SimTime EventQueue::next_time() {
   drop_cancelled_head();
   return heap_.empty() ? util::kTimeInfinity : heap_.front().when;
-}
-
-std::optional<EventQueue::Head> EventQueue::peek() {
-  drop_cancelled_head();
-  if (heap_.empty()) return std::nullopt;
-  return Head{heap_.front().when, heap_.front().id};
 }
 
 EventQueue::Popped EventQueue::pop() {

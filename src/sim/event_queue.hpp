@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
@@ -32,11 +31,6 @@ class EventQueue {
  public:
   EventId push(util::SimTime when, EventFn fn);
 
-  // Inserts an event under an externally assigned id (the parallel engine
-  // allocates ids globally so per-shard queues share one tie-break order).
-  // Ids must be unique across all pushes into this queue.
-  void push_with_id(util::SimTime when, EventId id, EventFn fn);
-
   // True if the event was still pending.
   bool cancel(EventId id);
 
@@ -46,14 +40,6 @@ class EventQueue {
   // Timestamp of the next live event; kTimeInfinity when empty.
   [[nodiscard]] util::SimTime next_time();
 
-  // (time, id) key of the next live event, if any. Used by the parallel
-  // engine's ordered merge to pick the globally minimal event across shards.
-  struct Head {
-    util::SimTime when;
-    EventId id;
-  };
-  [[nodiscard]] std::optional<Head> peek();
-
   // Pops and returns the next live event. Precondition: !empty().
   struct Popped {
     util::SimTime when;
@@ -61,13 +47,6 @@ class EventQueue {
     EventFn fn;
   };
   Popped pop();
-
-  // Bulk insert of externally-id'd events — the parallel engine's mailbox
-  // merge. Large batches (relative to the heap) append and re-heapify in
-  // one O(n + k) pass instead of k sift-ups; either path yields the same
-  // heap *order* on pop because (time, id) is a total order. Consumes and
-  // clears `batch`.
-  void push_bulk(std::vector<Popped>& batch);
 
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_id_; }
 
@@ -83,14 +62,6 @@ class EventQueue {
   // Compact once tombstones exceed the live population and this floor (the
   // floor keeps small queues from churning on every other cancel).
   static constexpr std::size_t kCompactMinTombstones = 64;
-
-  // The parallel engine disables the per-queue trigger and compacts all
-  // shards together under a single global threshold, so that the published
-  // compaction counters stay byte-identical to the sequential engine's.
-  void set_auto_compact(bool enabled) { auto_compact_ = enabled; }
-  // Removes every tombstone now; returns how many were dropped. Pop order
-  // is unaffected (the (time, id) comparator is a total order).
-  std::size_t force_compact();
 
  private:
   struct Entry {
@@ -111,7 +82,6 @@ class EventQueue {
   util::FlatSet<EventId> cancelled_;
   EventId next_id_ = 0;
   std::size_t live_ = 0;
-  bool auto_compact_ = true;
   EventQueueStats stats_;
 };
 

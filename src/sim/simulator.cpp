@@ -15,33 +15,9 @@ bool Timer::active() const { return state_ && state_->active; }
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-void Simulator::enable_parallel(ParallelConfig config) {
-  if (engine_) throw std::logic_error("enable_parallel: already enabled");
-  if (queue_.total_scheduled() != 0 || executed_ != 0) {
-    throw std::logic_error(
-        "enable_parallel: must be called before any event is scheduled");
-  }
-  engine_ = std::make_unique<ParallelEngine>(config);
-  engine_->bind(*this);
-}
-
-ShardId Simulator::route(util::PeerId affinity) const {
-  if (router_ && affinity.valid()) {
-    const ShardId s = router_(affinity);
-    if (s < engine_->shards()) return s;
-  }
-  // No routing information: keep the event on the scheduling handler's
-  // shard so purely local work never crosses a shard boundary.
-  return engine_->current_shard();
-}
-
 EventId Simulator::schedule_at(util::SimTime when, EventFn fn) {
   if (when < now_) {
     throw std::logic_error("schedule_at: cannot schedule into the past");
-  }
-  if (engine_) {
-    return engine_->schedule_global(route(util::PeerId::invalid()), when,
-                                    std::move(fn));
   }
   return queue_.push(when, std::move(fn));
 }
@@ -49,23 +25,6 @@ EventId Simulator::schedule_at(util::SimTime when, EventFn fn) {
 EventId Simulator::schedule_after(util::SimDuration delay, EventFn fn) {
   assert(delay >= 0);
   return schedule_at(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::schedule_at(util::SimTime when, EventFn fn,
-                               util::PeerId affinity) {
-  if (when < now_) {
-    throw std::logic_error("schedule_at: cannot schedule into the past");
-  }
-  if (engine_) {
-    return engine_->schedule_global(route(affinity), when, std::move(fn));
-  }
-  return queue_.push(when, std::move(fn));
-}
-
-EventId Simulator::schedule_after(util::SimDuration delay, EventFn fn,
-                                  util::PeerId affinity) {
-  assert(delay >= 0);
-  return schedule_at(now_ + delay, std::move(fn), affinity);
 }
 
 Timer Simulator::every(util::SimDuration period, std::function<void()> fn) {
@@ -96,7 +55,6 @@ Timer Simulator::every(util::SimDuration initial_delay, util::SimDuration period
 }
 
 std::uint64_t Simulator::run_until(util::SimTime until) {
-  if (engine_) return engine_->run_until(until);
   stop_requested_ = false;
   std::uint64_t n = 0;
   while (!stop_requested_) {
@@ -117,7 +75,6 @@ std::uint64_t Simulator::run_until(util::SimTime until) {
 }
 
 std::uint64_t Simulator::run_events(std::uint64_t max_events) {
-  if (engine_) return engine_->run_events(max_events);
   stop_requested_ = false;
   std::uint64_t n = 0;
   while (n < max_events && !stop_requested_) {
@@ -130,15 +87,6 @@ std::uint64_t Simulator::run_events(std::uint64_t max_events) {
     ++executed_;
   }
   return n;
-}
-
-void Simulator::publish_queue(obs::MetricsRegistry& registry,
-                              obs::Labels labels) const {
-  if (engine_) {
-    engine_->publish_queue_mirror(registry, std::move(labels));
-  } else {
-    queue_.publish(registry, std::move(labels));
-  }
 }
 
 }  // namespace p2prm::sim

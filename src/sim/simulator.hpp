@@ -12,8 +12,6 @@
 #include <memory>
 
 #include "sim/event_queue.hpp"
-#include "sim/parallel.hpp"
-#include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -57,31 +55,7 @@ class Simulator {
 
   EventId schedule_at(util::SimTime when, EventFn fn);
   EventId schedule_after(util::SimDuration delay, EventFn fn);
-  // Affinity-routed variants: under the parallel engine the event lands on
-  // `affinity`'s shard (per the installed router); sequentially they are
-  // identical to the plain forms. Events scheduled without an affinity stay
-  // on the shard of the handler that scheduled them.
-  EventId schedule_at(util::SimTime when, EventFn fn, util::PeerId affinity);
-  EventId schedule_after(util::SimDuration delay, EventFn fn,
-                         util::PeerId affinity);
-  bool cancel(EventId id) {
-    return engine_ ? engine_->cancel_global(id) : queue_.cancel(id);
-  }
-
-  // Switches this simulator onto the sharded parallel engine
-  // (docs/PARALLELISM.md). Must be called before anything is scheduled; the
-  // sequential path is untouched when this is never called.
-  void enable_parallel(ParallelConfig config);
-  // Maps a peer to its shard (core::System installs domain-based routing).
-  // Unrouted or invalid peers fall back to shard 0.
-  void set_shard_router(std::function<ShardId(util::PeerId)> router) {
-    router_ = std::move(router);
-  }
-  [[nodiscard]] bool parallel() const { return engine_ != nullptr; }
-  [[nodiscard]] ParallelEngine* parallel_engine() { return engine_.get(); }
-  [[nodiscard]] const ParallelEngine* parallel_engine() const {
-    return engine_.get();
-  }
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Repeating timer: first fires after `period` (or `initial_delay` if
   // given), then every `period` until cancelled.
@@ -99,40 +73,29 @@ class Simulator {
   void stop() { stop_requested_ = true; }
 
   [[nodiscard]] bool idle() {
-    return engine_ ? engine_->idle()
-                   : queue_.next_time() == util::kTimeInfinity;
+    return queue_.next_time() == util::kTimeInfinity;
   }
   // Time of the earliest pending event (kTimeInfinity when idle). The
-  // realtime driver uses it to size poll() timeouts; sequential engine
-  // only (the socket transport never runs parallel).
-  [[nodiscard]] util::SimTime next_event_time() {
-    return engine_ ? util::kTimeInfinity : queue_.next_time();
-  }
+  // realtime driver uses it to size poll() timeouts.
+  [[nodiscard]] util::SimTime next_event_time() { return queue_.next_time(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::uint64_t events_scheduled() const {
-    return engine_ ? engine_->total_scheduled() : queue_.total_scheduled();
+    return queue_.total_scheduled();
   }
   // Read-only view of the pending-event set (tombstone/compaction stats).
-  // Meaningful for the sequential engine only; parallel runs publish
-  // through publish_queue() below.
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
-  // sim.event_queue.* series for whichever engine is active. A parallel run
-  // emits the byte-identical values its sequential twin would.
+  // Same as queue().publish(); bench/e2e/workloads.cpp still calls it.
   void publish_queue(obs::MetricsRegistry& registry,
-                     obs::Labels labels = {}) const;
+                     obs::Labels labels = {}) const {
+    queue_.publish(registry, std::move(labels));
+  }
 
  private:
-  friend class ParallelEngine;  // drives now_/executed_/stop_requested_
-
-  ShardId route(util::PeerId affinity) const;
-
   util::SimTime now_ = util::kTimeZero;
   EventQueue queue_;
   util::Rng rng_;
   bool stop_requested_ = false;
   std::uint64_t executed_ = 0;
-  std::unique_ptr<ParallelEngine> engine_;
-  std::function<ShardId(util::PeerId)> router_;
 };
 
 }  // namespace p2prm::sim

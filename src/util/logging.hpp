@@ -1,10 +1,9 @@
 // Minimal leveled logging.
 //
 // Off (Warn) by default so tests and benches stay quiet; examples flip it
-// to Info/Debug to narrate protocol activity. The singleton is shared by
-// every shard worker under the parallel engine, so the level is an atomic
-// (the hot enabled() check stays lock-free) and each write is serialized
-// under a mutex — interleaved but never torn lines.
+// to Info/Debug to narrate protocol activity. The level is an atomic (the
+// hot enabled() check stays lock-free) and each write is serialized under
+// a mutex, so concurrent writers interleave but never tear lines.
 #pragma once
 
 #include <atomic>
@@ -33,7 +32,7 @@ class Logger {
              const std::string& message, double sim_now_seconds = -1.0);
 
   // Benches/tests can capture output instead of printing. Call only while
-  // no shard worker is running (setup/teardown).
+  // no other thread is logging (setup/teardown).
   void set_sink(std::ostream* sink) {
     std::lock_guard<std::mutex> lock(mu_);
     sink_ = sink;

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "obs/export.hpp"
-#include "obs/metrics_registry.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -286,59 +281,6 @@ TEST(EventQueue, CancelAfterPopIsHarmless) {
   EXPECT_LE(q.next_time(), util::kTimeInfinity);
 }
 
-TEST(EventQueue, PushBulkMatchesIndividualPushes) {
-  // The mailbox merge inserts externally-id'd events either by k sift-ups
-  // or, for large batches, one append + re-heapify. Both paths must yield
-  // the exact pop order of individual pushes — (time, id) is a total order,
-  // so the three queues below are indistinguishable on drain.
-  util::Rng rng(99);
-  std::vector<EventQueue::Popped> events;
-  for (EventId id = 0; id < 500; ++id) {
-    events.push_back({static_cast<util::SimTime>(rng.below(64)), id, [] {}});
-  }
-
-  EventQueue individual;
-  for (const auto& e : events) individual.push_with_id(e.when, e.id, [] {});
-
-  // Small tail batch: 5 events against a ~495-entry heap -> sift-up path.
-  EventQueue small_batch;
-  for (std::size_t i = 0; i < events.size() - 5; ++i) {
-    small_batch.push_with_id(events[i].when, events[i].id, [] {});
-  }
-  std::vector<EventQueue::Popped> tail;
-  for (std::size_t i = events.size() - 5; i < events.size(); ++i) {
-    tail.push_back({events[i].when, events[i].id, [] {}});
-  }
-  small_batch.push_bulk(tail);
-  EXPECT_TRUE(tail.empty());  // consumed
-
-  // Large batch: 400 events against a 100-entry heap -> heapify path.
-  EventQueue large_batch;
-  for (std::size_t i = 0; i < 100; ++i) {
-    large_batch.push_with_id(events[i].when, events[i].id, [] {});
-  }
-  std::vector<EventQueue::Popped> bulk;
-  for (std::size_t i = 100; i < events.size(); ++i) {
-    bulk.push_back({events[i].when, events[i].id, [] {}});
-  }
-  large_batch.push_bulk(bulk);
-
-  ASSERT_EQ(individual.size(), 500u);
-  ASSERT_EQ(small_batch.size(), 500u);
-  ASSERT_EQ(large_batch.size(), 500u);
-  while (!individual.empty()) {
-    const auto a = individual.pop();
-    const auto b = small_batch.pop();
-    const auto c = large_batch.pop();
-    EXPECT_EQ(a.when, b.when);
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.when, c.when);
-    EXPECT_EQ(a.id, c.id);
-  }
-  EXPECT_TRUE(small_batch.empty());
-  EXPECT_TRUE(large_batch.empty());
-}
-
 TEST(Simulator, CancelScheduledEvent) {
   Simulator sim;
   int fired = 0;
@@ -348,372 +290,18 @@ TEST(Simulator, CancelScheduledEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel engine (docs/PARALLELISM.md)
-
-// A mixed workload — affinity-routed chains, cancellations triggered from
-// other events, a self-cancelling timer — that records every handler
-// invocation as (now, tag). Identical drivers on both engines must produce
-// identical logs.
-void chain_step(Simulator& sim, std::vector<std::int64_t>& log, int peer,
-                int i) {
-  log.push_back(sim.now() * 100 + peer * 10 + i % 10);
-  if (i >= 30) return;
-  sim.schedule_after(
-      milliseconds(peer + 1) + i * 137,
-      [&sim, &log, peer, i] { chain_step(sim, log, peer, i + 1); },
-      util::PeerId{static_cast<std::uint64_t>(peer)});
-}
-
-std::pair<std::vector<std::int64_t>, std::uint64_t> drive_mixed_workload(
-    Simulator& sim) {
-  std::vector<std::int64_t> log;
-  for (int p = 0; p < 6; ++p) {
-    sim.schedule_after(
-        milliseconds(1) + p, [&sim, &log, p] { chain_step(sim, log, p, 0); },
-        util::PeerId{static_cast<std::uint64_t>(p)});
-  }
-  // Doomed events, each cancelled by an event on a *different* peer's shard.
-  for (int k = 0; k < 120; ++k) {
-    const EventId id = sim.schedule_at(
-        seconds(1) + k, [&log] { log.push_back(-1); },
-        util::PeerId{static_cast<std::uint64_t>(k % 6)});
-    sim.schedule_at(
-        milliseconds(500) + k, [&sim, id] { sim.cancel(id); },
-        util::PeerId{static_cast<std::uint64_t>((k + 1) % 6)});
-  }
-  Timer timer = sim.every(milliseconds(50), [&log] { log.push_back(777); });
-  sim.schedule_at(milliseconds(430), [timer]() mutable { timer.cancel(); });
-  sim.run_until(seconds(2));
-  return {log, sim.events_executed()};
-}
-
-TEST(ParallelEngine, OrderedCommitMatchesSequentialExecution) {
-  Simulator seq(7);
-  const auto seq_out = drive_mixed_workload(seq);
-
-  Simulator par(7);
-  ParallelConfig pc;
-  pc.threads = 4;
-  pc.lookahead = milliseconds(1);
-  pc.mode = ParallelMode::OrderedCommit;
-  par.enable_parallel(pc);
-  par.set_shard_router(
-      [](util::PeerId p) { return static_cast<ShardId>(p.value() % 4); });
-  const auto par_out = drive_mixed_workload(par);
-
-  EXPECT_EQ(seq_out.first, par_out.first);
-  EXPECT_EQ(seq_out.second, par_out.second);
-  EXPECT_EQ(seq.now(), par.now());
-
-  // Conservation: per-shard sums equal the global totals, and more than one
-  // shard did real work (the router is not degenerate).
-  const auto* engine = par.parallel_engine();
-  ASSERT_NE(engine, nullptr);
-  std::uint64_t executed = 0, scheduled = 0;
-  std::size_t active = 0;
-  for (ShardId s = 0; s < engine->shards(); ++s) {
-    executed += engine->shard_counters(s).executed;
-    scheduled += engine->shard_counters(s).scheduled;
-    if (engine->shard_counters(s).executed > 0) ++active;
-  }
-  EXPECT_EQ(executed, par.events_executed());
-  EXPECT_EQ(scheduled, par.events_scheduled());
-  EXPECT_GT(active, 1u);
-}
-
-TEST(ParallelEngine, MirrorCountersMatchSequentialPublish) {
-  // Identical schedule/cancel sequences on both engines; the published
-  // sim.event_queue.* series (scheduled / compactions / tombstones / live)
-  // must be byte-identical, compaction trigger included.
-  const auto drive = [](Simulator& sim) {
-    std::vector<EventId> ids;
-    for (int i = 0; i < 200; ++i) {
-      ids.push_back(sim.schedule_at(
-          milliseconds(10 + i), [] {},
-          util::PeerId{static_cast<std::uint64_t>(i % 2)}));
-    }
-    for (int i = 0; i < 200; ++i) {
-      if (i % 4 != 3) {
-        EXPECT_TRUE(sim.cancel(ids[static_cast<std::size_t>(i)]));
-      }
-    }
-    obs::MetricsRegistry before;
-    sim.publish_queue(before);
-    sim.run_until(seconds(1));
-    obs::MetricsRegistry after;
-    sim.publish_queue(after);
-    return std::pair{obs::to_json(before), obs::to_json(after)};
-  };
-
-  Simulator seq(3);
-  const auto seq_snapshots = drive(seq);
-
-  Simulator par(3);
-  ParallelConfig pc;
-  pc.threads = 2;
-  pc.mode = ParallelMode::OrderedCommit;
-  par.enable_parallel(pc);
-  par.set_shard_router(
-      [](util::PeerId p) { return static_cast<ShardId>(p.value() % 2); });
-  const auto par_snapshots = drive(par);
-
-  EXPECT_EQ(seq_snapshots.first, par_snapshots.first);
-  EXPECT_EQ(seq_snapshots.second, par_snapshots.second);
-
-  // 150 cancellations against 200 events must have fired the global
-  // compaction at the sequential threshold, and the physical sweep runs on
-  // every shard in lockstep with the global counter.
-  const auto* engine = par.parallel_engine();
-  ASSERT_NE(engine, nullptr);
-  EXPECT_GE(engine->stats().compactions, 1u);
-  for (ShardId s = 0; s < engine->shards(); ++s) {
-    EXPECT_EQ(engine->shard_counters(s).compactions,
-              engine->stats().compactions)
-        << "shard " << s;
-  }
-  EXPECT_EQ(engine->live(), engine->physical_live());
-  EXPECT_GE(engine->tombstones(), engine->physical_tombstones());
-}
-
-TEST(ParallelEngine, EnableParallelAfterSchedulingThrows) {
+TEST(Simulator, NextEventTimeAndIdleFollowLiveHead) {
+  // The realtime driver sizes its poll() timeout from these two calls, so
+  // a cancelled head must not hold them on a dead event.
   Simulator sim;
-  sim.schedule_at(1, [] {});
-  EXPECT_THROW(sim.enable_parallel(ParallelConfig{}), std::logic_error);
-}
-
-TEST(ParallelEngine, ShardConcurrentWindowsRespectLookahead) {
-  ParallelConfig pc;
-  pc.threads = 4;
-  pc.lookahead = milliseconds(1);
-  pc.mode = ParallelMode::ShardConcurrent;
-  ParallelEngine eng(pc);
-
-  // Each shard runs a local chain and relays a token to the next shard at
-  // exactly now + lookahead — the tightest legal cross-shard delay.
-  std::array<std::vector<std::int64_t>, 4> logs;
-  struct Relay {
-    ParallelEngine& eng;
-    std::array<std::vector<std::int64_t>, 4>& logs;
-    util::SimDuration lookahead;
-    void operator()(ShardId shard, util::SimTime now, int hops) const {
-      logs[shard].push_back(now);
-      if (hops >= 64) return;
-      const ShardId next = (shard + 1) % 4;
-      auto self = *this;
-      eng.post(shard, next, now + lookahead,
-               [self, next, now, hops, la = lookahead] {
-                 self(next, now + la, hops + 1);
-               });
-    }
-  };
-  const Relay relay{eng, logs, pc.lookahead};
-  for (ShardId s = 0; s < 4; ++s) {
-    eng.schedule(s, milliseconds(s), [relay, s] {
-      relay(s, milliseconds(s), 0);
-    });
-  }
-  eng.run_windows_until(seconds(1));
-
-  EXPECT_EQ(eng.stats().lookahead_violations, 0u);
-  EXPECT_GT(eng.stats().windows, 0u);
-  EXPECT_GT(eng.stats().cross_shard_messages, 0u);
-  EXPECT_EQ(eng.stats().merged_messages, eng.stats().cross_shard_messages);
-  std::uint64_t posts_out = 0, posts_in = 0, executed = 0;
-  for (ShardId s = 0; s < 4; ++s) {
-    posts_out += eng.shard_counters(s).posts_out;
-    posts_in += eng.shard_counters(s).posts_in;
-    executed += eng.shard_counters(s).executed;
-    EXPECT_LE(eng.shard_now(s), seconds(1));
-    EXPECT_FALSE(logs[s].empty());
-  }
-  EXPECT_EQ(posts_out, eng.stats().cross_shard_messages);
-  EXPECT_EQ(posts_in, eng.stats().cross_shard_messages);
-  EXPECT_EQ(executed, 4u * 65u);
-}
-
-TEST(ParallelEngine, PerPairLookaheadWidensWindows) {
-  // Identical local workloads run under the scalar lookahead and under a
-  // per-pair matrix that promises 100x the cross-shard delay bound. The
-  // wider promise must collapse the barrier count (windows extend to the
-  // peer's next_time + L(src, dst)) while executing exactly the same
-  // events — the matrix is a scheduling hint, never a behavior change.
-  const auto run = [](util::SimDuration pair_bound) {
-    ParallelConfig pc;
-    pc.threads = 2;
-    pc.lookahead = milliseconds(1);
-    pc.mode = ParallelMode::ShardConcurrent;
-    ParallelEngine eng(pc);
-    if (pair_bound > 0) {
-      eng.set_pair_lookahead(std::vector<util::SimDuration>{
-          0, pair_bound,  // L(0 -> 0) ignored, L(0 -> 1)
-          pair_bound, 0,  // L(1 -> 0), L(1 -> 1) ignored
-      });
-      EXPECT_EQ(eng.pair_lookahead(0, 1), pair_bound);
-      EXPECT_EQ(eng.pair_lookahead(1, 0), pair_bound);
-    }
-    struct Chain {
-      ParallelEngine& eng;
-      void operator()(ShardId shard, util::SimTime now, int i) const {
-        if (i >= 63) return;
-        auto self = *this;
-        eng.schedule(shard, now + milliseconds(1),
-                     [self, shard, now, i] {
-                       self(shard, now + milliseconds(1), i + 1);
-                     });
-      }
-    };
-    const Chain chain{eng};
-    for (ShardId s = 0; s < 2; ++s) {
-      eng.schedule(s, milliseconds(1), [chain, s] {
-        chain(s, milliseconds(1), 0);
-      });
-    }
-    eng.run_windows_until(seconds(1));
-    // Handlers run concurrently across shards, so count executions via the
-    // engine's per-shard counters rather than shared test state.
-    std::uint64_t executed = 0;
-    for (ShardId s = 0; s < 2; ++s) executed += eng.shard_counters(s).executed;
-    EXPECT_EQ(executed, 128u);
-    EXPECT_EQ(eng.stats().lookahead_violations, 0u);
-    return eng.stats().windows;
-  };
-
-  const auto narrow = run(0);  // scalar config lookahead only
-  const auto wide = run(milliseconds(100));
-  EXPECT_GT(narrow, wide)
-      << "a 100x wider delay bound did not reduce barrier count";
-}
-
-TEST(ParallelEngine, ShardConcurrentCountsLookaheadViolations) {
-  ParallelConfig pc;
-  pc.threads = 2;
-  pc.lookahead = milliseconds(1);
-  pc.mode = ParallelMode::ShardConcurrent;
-  ParallelEngine eng(pc);
-
-  int delivered = 0;
-  eng.schedule(0, milliseconds(5), [&eng, &delivered] {
-    // Posting for "now" lands inside the current window — a violation of
-    // the conservative contract. It is delivered anyway, and counted.
-    eng.post(0, 1, milliseconds(5), [&delivered] { ++delivered; });
-  });
-  eng.run_windows_until(seconds(1));
-
-  EXPECT_EQ(eng.stats().lookahead_violations, 1u);
-  EXPECT_EQ(delivered, 1);
-}
-
-TEST(ParallelEngine, EmptyShardRoundTripStaysCausal) {
-  // Regression for the unsound per-head window plan: shard 0 holds a long
-  // local chain while shard 1 starts empty. An empty peer used to impose
-  // no bound, so shard 0 drained its entire chain in one window; its first
-  // handler's post then round-tripped through shard 1 and the reply
-  // executed far below shard 0's clock — out-of-order, with no rollback.
-  // The closure bound (next[0] + shortest feedback cycle) must keep shard
-  // 0's execution monotone and slot the reply in timestamp order.
-  ParallelConfig pc;
-  pc.threads = 2;
-  pc.lookahead = milliseconds(1);
-  pc.mode = ParallelMode::ShardConcurrent;
-  ParallelEngine eng(pc);
-
-  std::vector<util::SimTime> log0;  // touched only by shard 0's handlers
-  for (int i = 0; i < 20; ++i) {
-    const util::SimTime t = milliseconds(100 + 100 * i);
-    eng.schedule(0, t, [&log0, t] { log0.push_back(t); });
-  }
-  // The chain's first instant also kicks off a ping-pong at the tightest
-  // legal delays: 0 -> 1 arriving 101ms, reply 1 -> 0 arriving 102ms.
-  eng.schedule(0, milliseconds(100), [&eng, &log0] {
-    eng.post(0, 1, milliseconds(101), [&eng, &log0] {
-      eng.post(1, 0, milliseconds(102),
-               [&log0] { log0.push_back(milliseconds(102)); });
-    });
-  });
-  eng.run_windows_until(seconds(3));
-
-  EXPECT_EQ(eng.stats().lookahead_violations, 0u);
-  EXPECT_EQ(eng.stats().causality_violations, 0u);
-  ASSERT_EQ(log0.size(), 21u);
-  EXPECT_TRUE(std::is_sorted(log0.begin(), log0.end()))
-      << "shard 0 executed events out of local time order";
-  EXPECT_EQ(log0[1], milliseconds(102)) << "reply not slotted after 100ms";
-}
-
-TEST(ParallelEngine, PairClosureAccountsForRelaysAndFeedback) {
-  ParallelConfig pc;
-  pc.threads = 3;
-  pc.lookahead = milliseconds(1);
-  pc.mode = ParallelMode::ShardConcurrent;
-  ParallelEngine eng(pc);
-  // Scalar matrix: every direct hop 1ms, every feedback cycle 2ms.
-  EXPECT_EQ(eng.pair_closure(0, 1), milliseconds(1));
-  EXPECT_EQ(eng.pair_closure(0, 0), milliseconds(2));
-
-  eng.set_pair_lookahead(std::vector<util::SimDuration>{
-      0, milliseconds(1), milliseconds(100),    // 0->0 (ignored), 0->1, 0->2
-      milliseconds(50), 0, milliseconds(1),     // 1->0, 1->1 (ignored), 1->2
-      milliseconds(100), milliseconds(100), 0,  // 2->0, 2->1, 2->2 (ignored)
-  });
-  // A relay chain cheaper than the direct promise caps the bound: 0->1->2
-  // costs 2ms although the direct 0->2 entry says 100ms.
-  EXPECT_EQ(eng.pair_closure(0, 2), milliseconds(2));
-  // Diagonal = shortest feedback cycle through other shards, never the
-  // (ignored) diagonal input entry.
-  EXPECT_EQ(eng.pair_closure(0, 0), milliseconds(51));   // 0->1->0
-  EXPECT_EQ(eng.pair_closure(2, 2), milliseconds(101));  // 2->1->2
-  // Direct edges that no relay can beat pass through unchanged.
-  EXPECT_EQ(eng.pair_closure(1, 0), milliseconds(50));
-  EXPECT_EQ(eng.pair_closure(2, 1), milliseconds(100));
-}
-
-TEST(ParallelEngine, MailboxMergeOrderIndependentOfWorkerDelays) {
-  // Shards 0 and 1 both stream tagged messages to shard 2; an artificial
-  // sleep slows one producer's worker. The delivery log on shard 2 must not
-  // depend on which worker finishes its window first.
-  const auto run = [](int slow_shard) {
-    ParallelConfig pc;
-    pc.threads = 3;
-    pc.lookahead = milliseconds(1);
-    pc.mode = ParallelMode::ShardConcurrent;
-    ParallelEngine eng(pc);
-
-    std::vector<int> delivered;  // touched only by shard 2's handlers
-    struct Producer {
-      ParallelEngine& eng;
-      std::vector<int>& delivered;
-      int slow_shard;
-      void operator()(ShardId shard, util::SimTime now, int i) const {
-        if (shard == static_cast<ShardId>(slow_shard)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        const int tag = static_cast<int>(shard) * 1000 + i;
-        eng.post(shard, 2, now + milliseconds(1),
-                 [this_ = *this, tag] { this_.delivered.push_back(tag); });
-        if (i >= 19) return;
-        auto self = *this;
-        eng.schedule(shard, now + milliseconds(1),
-                     [self, shard, now, i] {
-                       self(shard, now + milliseconds(1), i + 1);
-                     });
-      }
-    };
-    const Producer producer{eng, delivered, slow_shard};
-    for (ShardId s = 0; s < 2; ++s) {
-      eng.schedule(s, milliseconds(1), [producer, s] {
-        producer(s, milliseconds(1), 0);
-      });
-    }
-    eng.run_windows_until(seconds(1));
-    EXPECT_EQ(eng.stats().lookahead_violations, 0u);
-    return delivered;
-  };
-
-  const auto baseline = run(-1);
-  ASSERT_EQ(baseline.size(), 40u);
-  EXPECT_EQ(baseline, run(0));
-  EXPECT_EQ(baseline, run(1));
+  const auto first = sim.schedule_at(seconds(1), [] {});
+  sim.schedule_at(seconds(2), [] {});
+  EXPECT_TRUE(sim.cancel(first));
+  EXPECT_EQ(sim.next_event_time(), seconds(2));
+  EXPECT_FALSE(sim.idle());
+  sim.run_until();
+  EXPECT_EQ(sim.next_event_time(), util::kTimeInfinity);
+  EXPECT_TRUE(sim.idle());
 }
 
 }  // namespace

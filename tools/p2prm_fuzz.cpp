@@ -5,18 +5,9 @@
 //   p2prm_fuzz --json                    machine-readable report on stdout
 //   p2prm_fuzz --artifact=repro.txt      write failing repro strings to a file
 //   p2prm_fuzz --no-oracles              skip determinism/cache/span replays
-//   p2prm_fuzz --threads=N               parallel-engine oracle thread count
-//                                        (default 2; 0 or 1 disables it)
-//   p2prm_fuzz --base-threads=N          engine threads for the base run
-//                                        itself (default 1 = sequential); CI
-//                                        runs the sweep at 1 and 4 and cmp's
-//                                        the two --json reports byte-for-byte
 //   p2prm_fuzz --no-shrink               report the original failing scenario
 //   p2prm_fuzz --trace-dump=FILE         single scenario only: write every
-//                                        trace event (one per line) to FILE —
-//                                        CI's parallel-equivalence job reruns
-//                                        a divergent seed at 1 and N threads
-//                                        and diffs the two dumps
+//                                        trace event (one per line) to FILE
 //   p2prm_fuzz --spans                   force span (hop) events on, so the
 //                                        trace dump carries per-hop detail
 //   p2prm_fuzz --scale=N                 scale-flavored sweep: each generated
@@ -33,16 +24,14 @@
 //                                        stream.accounting invariant checked
 //                                        at every boundary
 //                                        (ScenarioSpec::generate_stream).
-//                                        Sim transport, --base-threads=1 only.
+//                                        Sim transport only.
 //   p2prm_fuzz --transport=sim|socket    control-plane backend (default sim).
 //                                        socket runs each scenario over real
 //                                        loopback TCP (docs/TRANSPORT.md): it
 //                                        forces --no-oracles (replay digests
-//                                        are timing-dependent) and is rejected
-//                                        with --base-threads > 1 (the
-//                                        parallel engine is sim-only). Fault
-//                                        plans run through the socket fault
-//                                        shim with all invariants checked.
+//                                        are timing-dependent). Fault plans
+//                                        run through the socket fault shim
+//                                        with all invariants checked.
 //                                        Tune with --time-scale / --base-port.
 //
 // Every scenario is fully determined by its seed: the same build and the
@@ -169,19 +158,6 @@ int main(int argc, char** argv) {
   const std::string repro_arg = args.get("repro", "");
   const bool json = args.get_bool("json", false);
   const bool oracles = !args.get_bool("no-oracles", false);
-  const long threads_arg = args.get_int("threads", 2);
-  if (threads_arg < 0 || threads_arg > 64) {
-    std::cerr << "bad --threads; expected 0..64, got " << threads_arg << '\n';
-    return 2;
-  }
-  const auto parallel_threads = static_cast<unsigned>(threads_arg);
-  const long base_threads_arg = args.get_int("base-threads", 1);
-  if (base_threads_arg < 1 || base_threads_arg > 64) {
-    std::cerr << "bad --base-threads; expected 1..64, got " << base_threads_arg
-              << '\n';
-    return 2;
-  }
-  const auto base_threads = static_cast<unsigned>(base_threads_arg);
   const bool do_shrink = !args.get_bool("no-shrink", false);
   const std::string artifact = args.get("artifact", "");
   const std::string trace_dump = args.get("trace-dump", "");
@@ -223,11 +199,6 @@ int main(int argc, char** argv) {
   bool run_oracles = oracles;
   p2prm::check::ConfigTweakFn tweak;
   if (socket_transport) {
-    if (base_threads > 1) {
-      std::cerr << "--transport=socket requires --base-threads=1 (the "
-                   "parallel engine is sim-only)\n";
-      return 2;
-    }
     if (run_oracles) {
       std::cerr << "note: --transport=socket forces --no-oracles (socket "
                    "replay digests are timing-dependent)\n";
@@ -273,23 +244,15 @@ int main(int argc, char** argv) {
     }
   }
   for (const auto& spec : specs) {
-    if (!spec.stream) continue;
-    // The streaming overlay shares the sequential sim event loop.
-    if (socket_transport) {
+    if (spec.stream && socket_transport) {
       std::cerr << "stream scenarios require --transport=sim\n";
-      return 2;
-    }
-    if (base_threads > 1) {
-      std::cerr << "stream scenarios require --base-threads=1\n";
       return 2;
     }
   }
 
   if (!trace_dump.empty()) {
-    // Dedicated single-scenario mode: run once at --base-threads and write
-    // the full trace, one event per line. Two dumps of the same seed at
-    // different thread counts diff cleanly — the parallel-equivalence job's
-    // divergence artifact.
+    // Dedicated single-scenario mode: run once and write the full trace,
+    // one event per line.
     if (specs.size() != 1) {
       std::cerr << "--trace-dump needs exactly one scenario (a single-seed "
                    "--seeds range or a --repro), got "
@@ -319,10 +282,9 @@ int main(int argc, char** argv) {
     };
     auto checker = p2prm::check::InvariantChecker::with_defaults();
     const auto result = p2prm::check::run_scenario(
-        spec, checker, p2prm::util::seconds(2), inspect, base_threads, tweak);
-    std::cout << "seed=" << seeds.front() << " threads=" << base_threads
-              << " digest=" << hex64(result.digest) << " events=" << dumped
-              << " -> " << trace_dump << '\n';
+        spec, checker, p2prm::util::seconds(2), inspect, tweak);
+    std::cout << "seed=" << seeds.front() << " digest=" << hex64(result.digest)
+              << " events=" << dumped << " -> " << trace_dump << '\n';
     for (const auto& v : result.violations) {
       std::cerr << "violation " << v.invariant << ": " << v.message << '\n';
     }
@@ -332,8 +294,8 @@ int main(int argc, char** argv) {
   std::vector<SeedOutcome> outcomes;
   std::vector<FailureReport> failures;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    SeedOutcome outcome = p2prm::check::run_spec(
-        specs[i], run_oracles, parallel_threads, base_threads, tweak);
+    SeedOutcome outcome =
+        p2prm::check::run_spec(specs[i], run_oracles, tweak);
     if (!outcome.ok()) {
       FailureReport f;
       f.seed = seeds[i];
