@@ -7,7 +7,10 @@
 // wall-clock noise (see docs/BENCHMARKS.md).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -19,11 +22,30 @@
 #include "graph/path_cache.hpp"
 #include "graph/path_search.hpp"
 #include "media/catalog.hpp"
+#include "net/network.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "util/arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
+
+// Every heap allocation in this binary goes through this replacement, so a
+// benchmark can report allocations per operation (array forms forward here
+// by default). Kept out of line: inlined into a call site, GCC would pair
+// the caller's `new` with the `free` below and warn of a mismatch.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -206,7 +228,7 @@ void BM_PathCacheRepeatedQuery(benchmark::State& state) {
   }
   graph::PathCache cache;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.bfs_paths(gr, *start, *goal));
+    benchmark::DoNotOptimize(cache.id_paths(gr, *start, *goal).size());
   }
   const double probes =
       static_cast<double>(cache.stats().hits + cache.stats().misses);
@@ -215,6 +237,73 @@ void BM_PathCacheRepeatedQuery(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PathCacheRepeatedQuery)->Range(32, 2048)->Complexity(benchmark::oN);
+
+void BM_AllocateStreamChain(benchmark::State& state) {
+  // One streaming chain placement (paper-bfs) over a ladder-catalog pool
+  // shaped like the stream workload's: 6 services per peer, round-robin
+  // over the catalog, so every conversion has many hosts and a query scores
+  // every Figure 3 candidate. The path cache is warm after the first query,
+  // as it is between a stream's load reports.
+  util::Rng rng(11);
+  const media::Catalog catalog = media::ladder_catalog();
+  const auto& conversions = catalog.conversions();
+  sim::Simulator sim(1);
+  net::Topology topo;
+  net::Network network(sim, topo);
+  const core::SystemConfig config{};
+  core::InfoBase info(util::DomainId{0}, util::PeerId{0});
+  const auto peers = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t service_id = 1;
+  for (std::uint64_t p = 0; p < peers; ++p) {
+    overlay::PeerSpec spec;
+    spec.id = util::PeerId{p};
+    spec.capacity_ops_per_s = rng.uniform(30e6, 90e6);
+    topo.place_at(spec.id, {rng.uniform(0, 1000), rng.uniform(0, 1000)});
+    info.add_member(spec, 0);
+    core::PeerAnnounce announce;
+    announce.spec = spec;
+    for (std::uint64_t s = 0; s < 6; ++s) {
+      announce.services.push_back(core::ServiceOffering{
+          util::ServiceId{service_id++},
+          conversions[(p * 6 + s) % conversions.size()]});
+    }
+    info.add_inventory(announce);
+  }
+  core::PeerAnnounce source;
+  source.spec.id = util::PeerId{0};
+  source.objects = {media::make_object(
+      util::ObjectId{1},
+      media::MediaFormat{media::Codec::MPEG2, media::kRes800x600, 512}, 0.5,
+      rng)};
+  info.add_inventory(source);
+  core::AllocationRequest request;
+  request.task = util::TaskId{1};
+  request.q.object = util::ObjectId{1};
+  request.q.acceptable_formats = {
+      media::MediaFormat{media::Codec::MPEG4, media::kRes640x480, 128}};
+  request.q.deadline = util::seconds(3);
+  request.sink = util::PeerId{1000000};
+  topo.place_at(request.sink, {500, 500});
+  const auto allocator = core::make_allocator(core::AllocatorKind::PaperBfs);
+  util::Rng alloc_rng(12);
+  std::size_t candidates =
+      allocator->allocate(info, network, config, request, alloc_rng)
+          .candidates_considered;
+  const std::uint64_t allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const core::AllocationResult result =
+        allocator->allocate(info, network, config, request, alloc_rng);
+    candidates = result.candidates_considered;
+    benchmark::DoNotOptimize(result.fairness_after);
+  }
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["candidates"] = static_cast<double>(candidates);
+  state.counters["heap_allocs"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_AllocateStreamChain)->Range(64, 1024);
 
 // The next four benchmarks justify the PR 6 data-layout pass head to
 // head: open-addressing FlatMap vs std::unordered_map on the InfoBase

@@ -8,9 +8,20 @@
 // maximum fairness of the load distribution among the peers."
 //
 // Besides the paper's algorithm we provide the baselines the experiments
-// compare against (min-hop, random, least-loaded) and an exhaustive
-// simple-path enumerator used as an ablation upper bound for the BFS's
-// visited-vertex pruning.
+// compare against (min-hop, random, least-loaded), the two streaming
+// policies (max-util, det-stream) and an exhaustive simple-path enumerator
+// used as an ablation upper bound for the BFS's visited-vertex pruning.
+//
+// Score every candidate, materialize the winner. An allocation walks every
+// (source replica, acceptable target, path) candidate once and fills a
+// compact score per candidate — execution time, feasibility, fairness and
+// utilization after, and the hop (peer, ops-rate) pairs in one per-query
+// buffer — without building anything per candidate. Every allocator picks
+// from those scores, and only the winner is expanded through
+// evaluate_path() and finalize(). enumerate_candidates() is the
+// explanatory API: it materializes every candidate through the same
+// per-hop cost routine, so each PathEvaluation carries exactly the
+// doubles the scores were ranked by.
 #pragma once
 
 #include <memory>
@@ -98,7 +109,7 @@ class Allocator {
     const InfoBase& info, const net::Transport& network,
     const SystemConfig& config, const AllocationRequest& request,
     const ObjectLocation& source, const media::MediaFormat& target,
-    const graph::EdgePath& path);
+    graph::EdgeSpan path);
 
 // Every evaluated candidate across all (source replica, acceptable target,
 // path) combinations, using the paper's BFS (or the exhaustive enumerator).

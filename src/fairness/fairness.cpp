@@ -1,5 +1,6 @@
 #include "fairness/fairness.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -73,27 +74,42 @@ double IncrementalFairness::index_with(
   double sum_sq = sum_sq_;
   std::size_t n = loads_.size();
   // Apply deltas sequentially; repeated peers accumulate. For correctness
-  // with repeats we need each peer's evolving load, so stage them.
-  std::unordered_map<util::PeerId, double> staged;
-  staged.reserve(deltas.size());
+  // with repeats we need each peer's evolving load, so stage them — in a
+  // small inline array searched linearly (spans are path-sized), spilling
+  // to the heap only past kInlineStage deltas.
+  std::array<std::pair<util::PeerId, double>, kInlineStage> inline_stage;
+  std::vector<std::pair<util::PeerId, double>> spilled;
+  std::span<std::pair<util::PeerId, double>> stage(inline_stage);
+  if (deltas.size() > kInlineStage) {
+    spilled.resize(deltas.size());
+    stage = spilled;
+  }
+  std::size_t staged = 0;
   for (const auto& [peer, delta] : deltas) {
-    double current;
-    const auto st = staged.find(peer);
-    if (st != staged.end()) {
-      current = st->second;
+    std::pair<util::PeerId, double>* slot = nullptr;
+    for (std::size_t i = 0; i < staged; ++i) {
+      if (stage[i].first == peer) {
+        slot = &stage[i];
+        break;
+      }
+    }
+    double current = 0.0;
+    if (slot != nullptr) {
+      current = slot->second;
     } else {
       const auto it = loads_.find(peer);
       if (it == loads_.end()) {
         ++n;  // joining peer
-        current = 0.0;
       } else {
         current = it->second;
       }
+      slot = &stage[staged++];
+      slot->first = peer;
     }
     const double next = current + delta;
     sum += next - current;
     sum_sq += next * next - current * current;
-    staged[peer] = next;
+    slot->second = next;
   }
   if (n == 0) return 1.0;
   if (sum_sq <= 0.0) return 1.0;

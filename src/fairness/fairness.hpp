@@ -45,9 +45,12 @@ class IncrementalFairness {
   [[nodiscard]] double index() const;
 
   // F if each (peer, delta) in `deltas` were applied. Peers may repeat;
-  // unknown peers are treated as joining with load = delta.
+  // unknown peers are treated as joining with load = delta. Allocation-
+  // free up to kInlineStage deltas; quadratic in the span length, which is
+  // meant to be path-sized.
   [[nodiscard]] double index_with(
       std::span<const std::pair<util::PeerId, double>> deltas) const;
+  static constexpr std::size_t kInlineStage = 8;
 
   [[nodiscard]] double total_load() const { return sum_; }
   [[nodiscard]] double mean_load() const;

@@ -13,42 +13,31 @@ void PathCache::invalidate_if_stale(const ResourceGraph& graph) {
   primed_ = true;
 }
 
-std::vector<EdgePath> PathCache::bfs_paths(const ResourceGraph& graph,
-                                           StateIndex start, StateIndex goal,
-                                           SearchStats* stats) {
+const std::vector<PathCache::IdPath>& PathCache::id_paths(
+    const ResourceGraph& graph, StateIndex start, StateIndex goal,
+    SearchStats* stats) {
   invalidate_if_stale(graph);
   const Key key{start, goal};
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    const auto paths = graph::bfs_paths(graph, start, goal, {}, stats);
-    // After: bfs_paths assigns the whole SearchStats, so the miss must be
-    // recorded on top of (not before) the traversal counters.
-    if (stats) ++stats->cache_misses;
-    std::vector<IdPath> ids;
-    ids.reserve(paths.size());
-    for (const auto& path : paths) {
-      IdPath seq;
-      seq.reserve(path.size());
-      for (const ServiceEdge* e : path) seq.push_back(e->id);
-      ids.push_back(std::move(seq));
-    }
-    it = entries_.emplace(key, std::move(ids)).first;
-    return paths;
+  if (it != entries_.end()) {
+    ++stats_.hits;
+    if (stats) ++stats->cache_hits;
+    return it->second;
   }
-  ++stats_.hits;
-  if (stats) ++stats->cache_hits;
-  // Re-materialize against the live graph: ids are stable, pointers and
-  // loads are read fresh so hit results carry current ServiceEdge state.
-  std::vector<EdgePath> out;
-  out.reserve(it->second.size());
-  for (const auto& seq : it->second) {
-    EdgePath path;
-    path.reserve(seq.size());
-    for (auto id : seq) path.push_back(&graph.service(id));
-    out.push_back(std::move(path));
+  ++stats_.misses;
+  const auto paths = graph::bfs_paths(graph, start, goal, {}, stats);
+  // After: bfs_paths assigns the whole SearchStats, so the miss must be
+  // recorded on top of (not before) the traversal counters.
+  if (stats) ++stats->cache_misses;
+  std::vector<IdPath> ids;
+  ids.reserve(paths.size());
+  for (const auto& path : paths) {
+    IdPath seq;
+    seq.reserve(path.size());
+    for (const ServiceEdge* e : path) seq.push_back(e->id);
+    ids.push_back(std::move(seq));
   }
-  return out;
+  return entries_.emplace(key, std::move(ids)).first->second;
 }
 
 void PathCache::clear() {

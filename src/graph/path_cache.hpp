@@ -4,8 +4,8 @@
 // query between two load reports; at production scale that BFS dominates
 // the control-plane hot path. The cache keys on the (start, goal) state
 // pair and stores the enumerated candidate sequences as *service ids*, not
-// edge pointers: on a hit the sequence is re-materialized against the live
-// graph, so callers always observe current ServiceEdge loads.
+// edge pointers: callers resolve them against the live graph, so they
+// always observe current ServiceEdge loads.
 //
 // Invalidation is wholesale by graph epoch: any edge insertion/removal or
 // ServiceEdge load update bumps ResourceGraph::epoch(), and the first query
@@ -36,15 +36,19 @@ struct PathCacheStats {
 class PathCache {
  public:
 
+  using IdPath = std::vector<util::ServiceId>;
+
   // Unpruned Figure 3 enumeration from `start` to `goal`, served from the
   // cache when the graph epoch has not moved since the entry was computed.
-  // Identical (including order) to graph::bfs_paths(graph, start, goal).
+  // Identical (including order) to graph::bfs_paths(graph, start, goal),
+  // as service-id sequences: ids are stable, so resolving each with
+  // graph.service() reads current ServiceEdge state, and a hit copies
+  // nothing. The reference stays valid until the next call on this cache.
   // On a hit, only stats->cache_hits is touched; on a miss the underlying
   // search fills the traversal counters as usual.
-  [[nodiscard]] std::vector<EdgePath> bfs_paths(const ResourceGraph& graph,
-                                                StateIndex start,
-                                                StateIndex goal,
-                                                SearchStats* stats = nullptr);
+  [[nodiscard]] const std::vector<IdPath>& id_paths(
+      const ResourceGraph& graph, StateIndex start, StateIndex goal,
+      SearchStats* stats = nullptr);
 
   void clear();
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -64,8 +68,6 @@ class PathCache {
       return k.start * 0x9e3779b97f4a7c15ULL ^ k.goal;
     }
   };
-  using IdPath = std::vector<util::ServiceId>;
-
   void invalidate_if_stale(const ResourceGraph& graph);
 
   std::unordered_map<Key, std::vector<IdPath>, KeyHash> entries_;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/resource_graph.hpp"
@@ -23,6 +24,8 @@ namespace p2prm::graph {
 
 // One candidate execution sequence: service edges in invocation order.
 using EdgePath = std::vector<const ServiceEdge*>;
+// A read-only view of one sequence: an EdgePath or a slice of a buffer.
+using EdgeSpan = std::span<const ServiceEdge* const>;
 
 // Return false to prune the partial sequence (QoS cannot be met on any
 // extension — the caller guarantees monotonicity).

@@ -58,6 +58,9 @@ void StreamEngine::add_peer(const overlay::PeerSpec& spec,
 }
 
 void StreamEngine::set_alive_probe(std::function<bool(util::PeerId)> probe) {
+  if (started_) {
+    throw std::logic_error("StreamEngine::set_alive_probe after start()");
+  }
   alive_probe_ = std::move(probe);
 }
 
@@ -91,6 +94,9 @@ void StreamEngine::apply_deltas(
 }
 
 void StreamEngine::sweep_liveness() {
+  // Without a probe alive() is always true, so no peer is ever marked dead
+  // and the sweep could change nothing.
+  if (!alive_probe_) return;
   for (auto& [id, st] : peers_) {
     const bool a = alive(id);
     if (!a && !st.marked_dead) {

@@ -67,9 +67,10 @@ class StreamEngine {
   void add_peer(const overlay::PeerSpec& spec,
                 const std::vector<core::ServiceOffering>& services);
 
-  // Liveness oracle consulted at every chunk tick and placement. Defaults
-  // to "always alive"; the fuzzer couples this to System peer state so
-  // fault plans break chains.
+  // Liveness oracle consulted at every chunk tick and placement; install
+  // it before start(). Without one every pool peer stays alive for the
+  // whole run and liveness is never polled; the fuzzer couples this to
+  // System peer state so fault plans break chains.
   void set_alive_probe(std::function<bool(util::PeerId)> probe);
 
   // Schedules the whole plan (chunk ticks, viewer joins/leaves) on the

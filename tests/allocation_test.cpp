@@ -2,8 +2,11 @@
 // exercised directly against an InfoBase (no live overlay needed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/allocation.hpp"
 #include "media/catalog.hpp"
@@ -380,6 +383,306 @@ TEST(Allocation, PicksLessLoadedReplicaOfSameObject) {
   // Direct delivery from the v3 replica adds zero load: maximum fairness.
   EXPECT_EQ(result.sg.hop_count(), 0u);
   EXPECT_EQ(result.sg.source_peer(), PeerId{6});
+}
+
+// ---- scoring pass vs. materialize-every-candidate reference -------------------
+
+// The allocators' pick rules as they stood when every candidate was a
+// materialized PathEvaluation, kept verbatim: the reference the one-pass
+// scoring kernel must reproduce bit for bit.
+bool reference_hops_lex_less(const PathEvaluation& a, const PathEvaluation& b) {
+  const std::size_t n = std::min(a.hops.size(), b.hops.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a.hops[i].peer != b.hops[i].peer) return a.hops[i].peer < b.hops[i].peer;
+  }
+  return a.hops.size() < b.hops.size();
+}
+
+const PathEvaluation* reference_pick(
+    AllocatorKind kind, const InfoBase& info,
+    const std::vector<const PathEvaluation*>& feasible, util::Rng& rng) {
+  const PathEvaluation* best = feasible.front();
+  switch (kind) {
+    case AllocatorKind::PaperBfs:
+    case AllocatorKind::Exhaustive:
+      for (const auto* c : feasible) {
+        if (c->fairness_after > best->fairness_after) best = c;
+      }
+      return best;
+    case AllocatorKind::MinHop:
+      for (const auto* c : feasible) {
+        if (c->hops.size() < best->hops.size()) best = c;
+      }
+      return best;
+    case AllocatorKind::Random:
+      return feasible[rng.below(feasible.size())];
+    case AllocatorKind::LeastLoaded:
+      for (const auto* c : feasible) {
+        if (c->max_utilization_after < best->max_utilization_after) {
+          best = c;
+        }
+      }
+      return best;
+    case AllocatorKind::MaxUtil: {
+      const auto mean_util = [&info](const PathEvaluation& ev) {
+        if (ev.load_deltas.empty()) {
+          return std::numeric_limits<double>::infinity();
+        }
+        double sum = 0.0;
+        for (const auto& [peer, delta] : ev.load_deltas) {
+          const auto* rec = info.domain().member(peer);
+          if (rec == nullptr) continue;
+          sum += (info.effective_load(peer) + delta) /
+                 rec->spec.capacity_ops_per_s;
+        }
+        return sum / static_cast<double>(ev.load_deltas.size());
+      };
+      double best_score = mean_util(*best);
+      for (const auto* c : feasible) {
+        const double score = mean_util(*c);
+        if (score > best_score ||
+            (score == best_score &&
+             (c->hops.size() < best->hops.size() ||
+              (c->hops.size() == best->hops.size() &&
+               reference_hops_lex_less(*c, *best))))) {
+          best = c;
+          best_score = score;
+        }
+      }
+      return best;
+    }
+    case AllocatorKind::DetStream:
+      for (const auto* c : feasible) {
+        if (c->exec_time < best->exec_time ||
+            (c->exec_time == best->exec_time &&
+             (c->hops.size() < best->hops.size() ||
+              (c->hops.size() == best->hops.size() &&
+               reference_hops_lex_less(*c, *best))))) {
+          best = c;
+        }
+      }
+      return best;
+  }
+  return best;
+}
+
+AllocationResult reference_allocate(AllocatorKind kind, const InfoBase& info,
+                                    const net::Transport& network,
+                                    const SystemConfig& config,
+                                    const AllocationRequest& request,
+                                    util::Rng& rng) {
+  AllocationResult result;
+  const auto candidates =
+      enumerate_candidates(info, network, config, request,
+                           kind == AllocatorKind::Exhaustive, &result.search);
+  result.candidates_considered = candidates.size();
+  std::vector<const PathEvaluation*> feasible;
+  for (const auto& c : candidates) {
+    if (c.feasible) feasible.push_back(&c);
+  }
+  result.candidates_feasible = feasible.size();
+  if (feasible.empty()) {
+    if (info.locations(request.q.object) == nullptr) {
+      result.failure_reason = "no-object";
+    } else if (candidates.empty() && result.search.pruned == 0) {
+      result.failure_reason = "no-path";
+    } else {
+      result.failure_reason = "deadline";
+    }
+    return result;
+  }
+  auto finalized =
+      finalize(request, *reference_pick(kind, info, feasible, rng));
+  finalized.search = result.search;
+  finalized.candidates_considered = result.candidates_considered;
+  finalized.candidates_feasible = result.candidates_feasible;
+  return finalized;
+}
+
+// A random domain built for exact ties: capacities, loads and positions
+// come from small discrete sets, some peers host one conversion twice, and
+// the object has replicas in several formats. Every config switch the
+// kernel reads (path cache, measured times, hop bound, cost model) varies.
+struct RandomDomain {
+  sim::Simulator sim{1};
+  net::Topology topo{};
+  net::Network net{sim, topo};
+  SystemConfig config{};
+  // Two rungs of resolution: every format is a few conversions apart.
+  const media::Catalog catalog = media::ladder_catalog(
+      {.resolutions = {media::kRes800x600, media::kRes640x480},
+       .bitrates_kbps = {512, 256, 128}});
+  InfoBase info{util::DomainId{0}, PeerId{0}};
+  std::size_t peers = 0;
+
+  explicit RandomDomain(std::uint64_t seed) {
+    util::Rng rng(seed);
+    const auto& conversions = catalog.conversions();
+    const auto& formats = catalog.formats();
+    config.enable_path_cache = rng.bernoulli(0.7);
+    config.use_measured_execution_times = rng.bernoulli(0.7);
+    config.exhaustive_max_hops = 2 + rng.below(3);
+    // A flat cost model (every conversion costs the per-stream base) makes
+    // chains of different lengths tie on mean utilization.
+    if (rng.bernoulli(0.3)) config.cost_model.ops_per_pixel_per_s = 0.0;
+    peers = 3 + rng.below(10);
+    // Peers announce in shuffled id order, so enumeration order and the
+    // streaming policies' peer-id tie-break disagree.
+    std::vector<std::uint64_t> ids(peers);
+    for (std::uint64_t p = 0; p < peers; ++p) ids[p] = p;
+    rng.shuffle(ids.begin(), ids.end());
+    // Co-located peers see equal latencies, so chains through peers of
+    // one capacity/load class tie on estimated execution time.
+    const double spread = rng.bernoulli(0.3) ? 0.0 : 100.0;
+    std::uint64_t next_service = 1;
+    for (const std::uint64_t id : ids) {
+      overlay::PeerSpec spec;
+      spec.id = PeerId{id};
+      spec.capacity_ops_per_s = rng.bernoulli(0.5) ? 40e6 : 80e6;
+      topo.place_at(spec.id, {spread * static_cast<double>(rng.below(2)),
+                              spread * static_cast<double>(rng.below(2))});
+      info.add_member(spec, 0);
+      PeerAnnounce announce;
+      announce.spec = spec;
+      const std::size_t services = 1 + rng.below(5);
+      for (std::size_t s = 0; s < services; ++s) {
+        const auto& type = conversions[rng.below(conversions.size())];
+        announce.services.push_back(
+            ServiceOffering{ServiceId{next_service++}, type});
+        if (rng.bernoulli(0.2)) {  // parallel edge on the same peer
+          announce.services.push_back(
+              ServiceOffering{ServiceId{next_service++}, type});
+        }
+      }
+      info.add_inventory(announce);
+      ProfilerReport report;
+      report.sample.smoothed_load_ops =
+          0.25 * static_cast<double>(rng.below(3)) * spec.capacity_ops_per_s;
+      report.sample.backlog_seconds = rng.bernoulli(0.2) ? 0.5 : 0.0;
+      for (const ServiceOffering& offering : announce.services) {
+        if (rng.bernoulli(0.3)) {
+          report.measured_exec_s.emplace_back(
+              offering.type.type_key(),
+              rng.bernoulli(0.5) ? 0.25 : 30.0);
+        }
+      }
+      info.record_report(spec.id, report, 0);
+      if (rng.bernoulli(0.3)) {
+        info.commit_load(spec.id, 5e6 * static_cast<double>(1 + rng.below(2)),
+                         0, util::seconds(60));
+      }
+    }
+    // Replicas of object 1, each in a random catalog format.
+    const std::size_t replicas = 1 + rng.below(3);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      PeerAnnounce announce;
+      announce.spec.id = PeerId{rng.below(peers)};
+      const media::MediaFormat& format = formats[rng.below(formats.size())];
+      const double duration_s = rng.bernoulli(0.5) ? 2.0 : 8.0;
+      announce.objects = {
+          media::make_object(util::ObjectId{1}, format, duration_s, rng)};
+      info.add_inventory(announce);
+    }
+  }
+
+  AllocationRequest request(util::Rng& rng) const {
+    const auto& formats = catalog.formats();
+    AllocationRequest r;
+    r.task = util::TaskId{1 + rng.below(1000)};
+    r.q.object = util::ObjectId{rng.bernoulli(0.1) ? 2u : 1u};
+    const std::size_t acceptable = 1 + rng.below(3);
+    for (std::size_t i = 0; i < acceptable; ++i) {
+      r.q.acceptable_formats.push_back(formats[rng.below(formats.size())]);
+    }
+    // Infeasible, tight and generous deadlines.
+    const util::SimDuration deadlines[] = {util::milliseconds(1),
+                                           util::seconds(2), util::seconds(20),
+                                           util::seconds(600)};
+    r.q.deadline = deadlines[rng.below(4)];
+    // The sink is usually a member, sometimes an outside consumer.
+    r.sink = PeerId{rng.bernoulli(0.8) ? rng.below(peers) : 999u};
+    r.submitted_at = util::seconds(static_cast<std::int64_t>(rng.below(3)));
+    r.now = r.submitted_at + util::milliseconds(
+                                 static_cast<std::int64_t>(rng.below(2) * 500));
+    return r;
+  }
+};
+
+void expect_same_result(const AllocationResult& a, const AllocationResult& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.failure_reason, b.failure_reason);
+  EXPECT_EQ(a.fairness_after, b.fairness_after);
+  EXPECT_EQ(a.estimated_execution, b.estimated_execution);
+  EXPECT_EQ(a.candidates_considered, b.candidates_considered);
+  EXPECT_EQ(a.candidates_feasible, b.candidates_feasible);
+  EXPECT_EQ(a.search.vertices_popped, b.search.vertices_popped);
+  EXPECT_EQ(a.search.sequences_enqueued, b.search.sequences_enqueued);
+  EXPECT_EQ(a.search.candidates_found, b.search.candidates_found);
+  EXPECT_EQ(a.search.pruned, b.search.pruned);
+  EXPECT_EQ(a.search.cache_hits, b.search.cache_hits);
+  EXPECT_EQ(a.search.cache_misses, b.search.cache_misses);
+  EXPECT_EQ(a.load_deltas, b.load_deltas);
+  EXPECT_EQ(a.sg.task(), b.sg.task());
+  EXPECT_EQ(a.sg.source_peer(), b.sg.source_peer());
+  EXPECT_EQ(a.sg.object(), b.sg.object());
+  EXPECT_EQ(a.sg.sink_peer(), b.sg.sink_peer());
+  EXPECT_EQ(a.sg.source_format(), b.sg.source_format());
+  EXPECT_EQ(a.sg.target_format(), b.sg.target_format());
+  EXPECT_EQ(a.sg.state, b.sg.state);
+  ASSERT_EQ(a.sg.hop_count(), b.sg.hop_count());
+  for (std::size_t i = 0; i < a.sg.hop_count(); ++i) {
+    const graph::ServiceHop& x = a.sg.hops()[i];
+    const graph::ServiceHop& y = b.sg.hops()[i];
+    EXPECT_EQ(x.service, y.service) << "hop " << i;
+    EXPECT_EQ(x.peer, y.peer) << "hop " << i;
+    EXPECT_EQ(x.type, y.type) << "hop " << i;
+    EXPECT_EQ(x.estimated_ops, y.estimated_ops) << "hop " << i;
+    EXPECT_EQ(x.estimated_compute_time, y.estimated_compute_time) << "hop " << i;
+    EXPECT_EQ(x.estimated_transfer_time, y.estimated_transfer_time)
+        << "hop " << i;
+  }
+}
+
+TEST(Allocation, ScoringMatchesMaterializedReferenceForEveryKind) {
+  const AllocatorKind kinds[] = {
+      AllocatorKind::PaperBfs,    AllocatorKind::Exhaustive,
+      AllocatorKind::MinHop,      AllocatorKind::Random,
+      AllocatorKind::LeastLoaded, AllocatorKind::MaxUtil,
+      AllocatorKind::DetStream};
+  std::size_t found = 0, failed = 0, choices = 0;
+  std::set<std::string> reasons;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // Two identical domains, so each side sees its own path cache warm up
+    // in the same order.
+    RandomDomain mine(seed);
+    RandomDomain ref(seed);
+    util::Rng draw(seed * 0x9e3779b97f4a7c15ULL);
+    for (int q = 0; q < 6; ++q) {
+      const AllocationRequest request = mine.request(draw);
+      for (const AllocatorKind kind : kinds) {
+        SCOPED_TRACE(std::string(allocator_name(kind)) + " query " +
+                     std::to_string(q));
+        util::Rng rng_mine(seed + 17 * static_cast<std::uint64_t>(q));
+        util::Rng rng_ref = rng_mine;
+        const AllocationResult a = make_allocator(kind)->allocate(
+            mine.info, mine.net, mine.config, request, rng_mine);
+        const AllocationResult b = reference_allocate(
+            kind, ref.info, ref.net, ref.config, request, rng_ref);
+        expect_same_result(a, b);
+        EXPECT_EQ(rng_mine.next(), rng_ref.next());
+        (a.found ? found : failed) += 1;
+        if (a.candidates_feasible > 1) ++choices;
+        reasons.insert(a.failure_reason);
+      }
+    }
+  }
+  // The sweep must exercise both outcomes and real choices.
+  EXPECT_GT(found, 2000u);
+  EXPECT_GT(failed, 2000u);
+  EXPECT_GT(choices, 1200u);
+  EXPECT_EQ(reasons, (std::set<std::string>{"", "deadline", "no-object",
+                                            "no-path"}));
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "fairness/fairness.hpp"
 #include "util/rng.hpp"
 
@@ -145,6 +149,110 @@ TEST(IncrementalFairness, DeltaOnUnknownPeerJoins) {
   inc.set(PeerId{1}, 10.0);
   const std::vector<std::pair<PeerId, double>> deltas{{PeerId{2}, 10.0}};
   EXPECT_DOUBLE_EQ(inc.index_with(deltas), 1.0);
+}
+
+// index_with as it stood with a hashed stage, over a mirrored load table
+// kept with the same running-sum updates as IncrementalFairness::set.
+struct MapStagedReference {
+  std::unordered_map<PeerId, double> loads;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+
+  void set(PeerId peer, double load) {
+    auto [it, inserted] = loads.try_emplace(peer, 0.0);
+    const double old = it->second;
+    sum += load - old;
+    sum_sq += load * load - old * old;
+    it->second = load;
+  }
+
+  double index_with(
+      const std::vector<std::pair<PeerId, double>>& deltas) const {
+    double s = sum;
+    double sq = sum_sq;
+    std::size_t n = loads.size();
+    std::unordered_map<PeerId, double> staged;
+    for (const auto& [peer, delta] : deltas) {
+      double current = 0.0;
+      const auto st = staged.find(peer);
+      if (st != staged.end()) {
+        current = st->second;
+      } else {
+        const auto it = loads.find(peer);
+        if (it == loads.end()) {
+          ++n;
+        } else {
+          current = it->second;
+        }
+      }
+      const double next = current + delta;
+      s += next - current;
+      sq += next * next - current * current;
+      staged[peer] = next;
+    }
+    if (n == 0) return 1.0;
+    if (sq <= 0.0) return 1.0;
+    return (s * s) / (static_cast<double>(n) * sq);
+  }
+};
+
+TEST(IncrementalFairness, InlineStageMatchesHashedStageBitForBit) {
+  const std::size_t past_inline = IncrementalFairness::kInlineStage + 5;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    IncrementalFairness inc;
+    MapStagedReference ref;
+    const std::uint64_t tracked = rng.below(12);
+    for (int op = 0; op < 40 && tracked > 0; ++op) {
+      const PeerId peer{rng.below(tracked)};
+      const double load = rng.uniform(0.0, 50.0);
+      inc.set(peer, load);
+      ref.set(peer, load);
+    }
+    // Empty, path-sized and longer-than-inline spans; peers drawn from a
+    // range wider than the tracked set (joins) and narrow enough to repeat.
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3},
+          IncrementalFairness::kInlineStage, past_inline, 3 * past_inline}) {
+      std::vector<std::pair<PeerId, double>> deltas;
+      const std::uint64_t range = 1 + rng.below(tracked + 6);
+      for (std::size_t i = 0; i < len; ++i) {
+        const PeerId peer{rng.below(range)};
+        deltas.emplace_back(peer, rng.uniform(-5.0, 20.0));
+      }
+      EXPECT_EQ(inc.index_with(deltas), ref.index_with(deltas))
+          << "len " << len;
+    }
+  }
+}
+
+TEST(IncrementalFairness, InlineStageEdgeCasesMatchHashedStage) {
+  IncrementalFairness inc;
+  MapStagedReference ref;
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    inc.set(PeerId{p}, 1.5 * static_cast<double>(p));
+    ref.set(PeerId{p}, 1.5 * static_cast<double>(p));
+  }
+  const std::size_t many = 2 * IncrementalFairness::kInlineStage + 1;
+  std::vector<std::pair<PeerId, double>> one_peer_repeated;
+  std::vector<std::pair<PeerId, double>> all_joining;
+  std::vector<std::pair<PeerId, double>> alternating;
+  for (std::size_t i = 0; i < many; ++i) {
+    one_peer_repeated.emplace_back(PeerId{2}, 0.1 * static_cast<double>(i));
+    all_joining.emplace_back(PeerId{100 + i}, 3.0);
+    alternating.emplace_back(PeerId{i % 2 == 0 ? 1u : 50u + i}, 0.7);
+  }
+  for (const auto* deltas : {&one_peer_repeated, &all_joining, &alternating}) {
+    EXPECT_EQ(inc.index_with(*deltas), ref.index_with(*deltas));
+  }
+  EXPECT_EQ(inc.index_with({}), ref.index_with({}));
+  EXPECT_EQ(inc.index_with({}), inc.index());
+  // An empty table with only joining peers.
+  IncrementalFairness empty;
+  MapStagedReference empty_ref;
+  EXPECT_EQ(empty.index_with(all_joining), empty_ref.index_with(all_joining));
+  EXPECT_EQ(empty.index_with({}), 1.0);
 }
 
 TEST(IncrementalFairness, RebuildFixesDrift) {

@@ -11,9 +11,13 @@
 //     feasible chains on the same plan and see the same generated count
 //   - byte determinism: identical (plan, pool) runs produce identical
 //     digests and stats; a different plan seed produces a different digest
+//   - probe-free runs: with no alive probe the liveness sweep is skipped,
+//     and the run matches one under an always-true probe exactly
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <tuple>
 
 #include "media/catalog.hpp"
 #include "net/network.hpp"
@@ -332,6 +336,51 @@ TEST(Streaming, ByteDeterministicPerSeed) {
 
   const auto [d3, s3] = run(124);
   EXPECT_NE(d1, d3);  // a different plan seed is a different stream
+}
+
+TEST(Streaming, NoProbeRunMatchesAlwaysAliveProbe) {
+  // Without a probe the engine skips its liveness sweep outright; with an
+  // always-true probe it sweeps every tick and placement. Both must be the
+  // same run, so skipping the sweep can never have changed anything.
+  const auto run = [](bool install_probe) {
+    World w;
+    w.config.allocator = core::AllocatorKind::PaperBfs;
+    const workload::StreamPlan plan = make_plan(w, 77, 16, 12);
+    StreamEngine engine(w.sim, w.net, w.config, plan);
+    build_pool(w, engine, 18, 2e6, 77);
+    place_sinks(w, plan);
+    if (install_probe) engine.set_alive_probe([](PeerId) { return true; });
+    engine.start();
+    EXPECT_THROW(engine.set_alive_probe({}), std::logic_error);
+    drain(w, engine, plan.config.live_window + plan.config.chunk_deadline +
+                         plan.config.late_grace + util::seconds(10));
+    EXPECT_EQ(engine.accounting_error(), std::nullopt);
+    return std::tuple(engine.digest(), engine.stats(),
+                      engine.upload_accounts());
+  };
+
+  const auto [d_none, s_none, up_none] = run(false);
+  const auto [d_probe, s_probe, up_probe] = run(true);
+  EXPECT_EQ(d_none, d_probe);
+  EXPECT_GT(s_none.chunks_delivered, 0u);
+  EXPECT_EQ(s_none.chunks_generated, s_probe.chunks_generated);
+  EXPECT_EQ(s_none.chunks_delivered, s_probe.chunks_delivered);
+  EXPECT_EQ(s_none.chunks_late, s_probe.chunks_late);
+  EXPECT_EQ(s_none.chunks_dropped, s_probe.chunks_dropped);
+  EXPECT_EQ(s_none.chunks_in_flight, s_probe.chunks_in_flight);
+  EXPECT_EQ(s_none.chains_built, s_probe.chains_built);
+  EXPECT_EQ(s_none.chain_rebuilds, s_probe.chain_rebuilds);
+  EXPECT_EQ(s_none.placement_failures, s_probe.placement_failures);
+  EXPECT_EQ(s_none.viewers_joined, s_probe.viewers_joined);
+  EXPECT_EQ(s_none.viewers_left, s_probe.viewers_left);
+  ASSERT_EQ(up_none.size(), up_probe.size());
+  for (std::size_t i = 0; i < up_none.size(); ++i) {
+    EXPECT_EQ(up_none[i].first, up_probe[i].first);
+    EXPECT_EQ(up_none[i].second.capacity_bytes_per_s,
+              up_probe[i].second.capacity_bytes_per_s);
+    EXPECT_EQ(up_none[i].second.bytes_sent, up_probe[i].second.bytes_sent);
+    EXPECT_EQ(up_none[i].second.busy_time, up_probe[i].second.busy_time);
+  }
 }
 
 }  // namespace
